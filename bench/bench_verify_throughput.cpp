@@ -14,14 +14,11 @@
 //                    deployment (re-decode, re-hash, linear manifest scans).
 //   serial_shared  — fresh Verifier sharing one prebuilt Deployment cache:
 //                    the single-thread hot path the farm runs per worker.
-//                    Measured memo=off and memo=on (sub-path memo only, the
-//                    pre-frontier cost model), and on RAP workloads also as
-//                    the {frontier on/off} x {cold/warm-restored} ablation:
-//                    "on+frontier" adds the checkpoint-frontier memo that
-//                    skips re-searching resolved RAP ambiguities, and the
-//                    "+warm" variants start from a cache rebuilt via
-//                    serialize_warm/restore_warm (the persistent warm-start
-//                    path a restored verifier endpoint takes).
+//                    Measured memo=off and memo=on (the sub-path memo), and
+//                    on RAP workloads also "on+warm": memo on, starting from
+//                    a cache rebuilt via serialize_warm/restore_warm (the
+//                    persistent warm-start path a restored verifier
+//                    endpoint takes).
 //   farm           — VerifierFarm::submit_wire at 1/2/4/8 *requested*
 //                    workers: sharded scheduling, shared deployment+memo,
 //                    batched multi-lane MACs. FarmOptions clamps requests to
@@ -37,7 +34,7 @@
 // mode, memo, workers):
 //   { "app", "method", "mix", "mode", "memo", "workers",
 //     "workers_requested", "chains", "reports", "wall_ns", "chains_per_s",
-//     "reports_per_s", "memo_hit_rate", "segment_hit_rate", "efficiency" }
+//     "reports_per_s", "segment_hit_rate", "efficiency" }
 // plus top-level "host_cpus" (scaling efficiency is bounded by physical
 // cores — on a 1-CPU host every multi-worker request clamps to one worker),
 // "hmac_lanes" (SHA-256 lanes the batched MAC check dispatches to on this
@@ -46,9 +43,9 @@
 // Correctness tripwires, all fatal (ride the bench-smoke-verify ctest):
 //   - every timed verification must reproduce the workload's probed verdict;
 //   - per workload, the canonical verification digest must be byte-identical
-//     memo-off vs memo-on-cold vs memo-on-warm vs frontier-on-cold vs
-//     frontier-on-warm vs warm-restored-from-snapshot (memoization may only
-//     change wall time and cache telemetry, never the verification outcome);
+//     memo-off vs memo-on-cold vs memo-on-warm vs warm-restored-from-snapshot
+//     (memoization may only change wall time and cache telemetry, never the
+//     verification outcome);
 //   - the emitted JSON must re-validate against the row schema.
 #include <algorithm>
 #include <chrono>
@@ -100,24 +97,20 @@ struct Row {
   u64 wall_ns = 0;
   double chains_per_s = 0.0;
   double reports_per_s = 0.0;
-  double memo_hit_rate = 0.0;  ///< memo hits / lookups inside the timed row
-  /// §14 sub-path tier alone (frontier excluded): segment splices / segment
-  /// lookups inside the timed row. The guarded-segments floor in CI gates on
-  /// this — before guarded recording it was ~0 on checkpoint-dense chains.
+  /// Segment splices / segment lookups inside the timed row. CI gates a
+  /// floor on it for the repeated TRACES chain.
   double segment_hit_rate = 0.0;
   double efficiency = 1.0;     ///< farm: chains_per_s / (workers * w1 rate)
 };
 
 /// One verification of `w` against its shared deployment with memoization
-/// (and optionally the checkpoint-frontier tier) toggled, returning the full
-/// result. Used for the probe and for the digest byte-identity tripwire.
-verify::VerificationResult verify_once(const Workload& w, bool memo,
-                                       bool frontier = false) {
+/// toggled, returning the full result. Used for the probe and for the digest
+/// byte-identity tripwire.
+verify::VerificationResult verify_once(const Workload& w, bool memo) {
   verify::Verifier verifier(apps::demo_key());
   verifier.expect(w.deployment);
   verifier.set_expected_watermark(w.config.expected_watermark);
   verifier.set_memo(memo);
-  verifier.set_frontier(memo && frontier);
   verifier.adopt_challenge(w.chal);
   const auto decoded = cfa::try_decode_report_chain(w.wire);
   if (!decoded.ok()) return {};
@@ -133,7 +126,9 @@ Verdict probe(const Workload& w) { return verify_once(w, false).verdict; }
 /// Memoization must be outcome-invisible: the canonical digest over the
 /// verification result (verdict, findings, events, replay outcome — cache
 /// telemetry excluded) has to be byte-identical with the memo off, with a
-/// cold cache, and with a warm cache. Fatal on divergence, so the
+/// cold cache, with a warm cache, and with a cache restored from a warm
+/// snapshot (the exact bytes a recovered verifier endpoint would rehydrate
+/// from). Fatal on divergence, so the
 /// bench-smoke-verify ctest doubles as a differential check.
 void check_memo_digests(const Workload& w) {
   w.deployment->memo().clear();
@@ -143,27 +138,18 @@ void check_memo_digests(const Workload& w) {
       verify_once(w, true)));
   const std::string warm = hex_digest(verify::verification_digest(
       verify_once(w, true)));
-  // Frontier tier: cold, warm, and warm-restored-from-snapshot (the exact
-  // bytes a recovered verifier endpoint would rehydrate from).
-  w.deployment->memo().clear();
-  const std::string frontier_cold = hex_digest(verify::verification_digest(
-      verify_once(w, true, true)));
-  const std::string frontier_warm = hex_digest(verify::verification_digest(
-      verify_once(w, true, true)));
   const std::vector<u8> snapshot = w.deployment->memo().serialize_warm();
   w.deployment->memo().clear();
   w.deployment->memo().restore_warm(snapshot);
   const std::string restored = hex_digest(verify::verification_digest(
-      verify_once(w, true, true)));
+      verify_once(w, true)));
   w.deployment->memo().clear();
-  if (off != cold || off != warm || off != frontier_cold ||
-      off != frontier_warm || off != restored) {
+  if (off != cold || off != warm || off != restored) {
     std::fprintf(stderr,
                  "error: %s/%s/%s memoized digest diverged\n  off  %s\n"
-                 "  cold %s\n  warm %s\n  fcold %s\n  fwarm %s\n  rest %s\n",
+                 "  cold %s\n  warm %s\n  rest %s\n",
                  w.app.c_str(), w.method.c_str(), w.mix.c_str(), off.c_str(),
-                 cold.c_str(), warm.c_str(), frontier_cold.c_str(),
-                 frontier_warm.c_str(), restored.c_str());
+                 cold.c_str(), warm.c_str(), restored.c_str());
     std::exit(1);
   }
 }
@@ -274,12 +260,10 @@ std::vector<Workload> build_workloads(bool quick) {
     // attributable to ANY call instance — every instance is RAP-ambiguous.
     // Greedy attributes it to the current instance, burns a deterministic
     // spin loop in the alarm arm, and is refuted by the POP {pc} return
-    // packet (wrong per-site return address -> strict-pass failure), so a
-    // cold replay backtracks once per call. The frontier memo caches each
-    // resolved decision; warm repeats replay linearly. This is the worst
-    // case for the backtracking search and the workload the
-    // checkpoint-frontier memo is built for. RAP/clean only: the grid
-    // above already prices the other methods and verdict paths.
+    // packet (wrong per-site return address -> strict-pass failure), so
+    // every replay backtracks once per call. This is the worst case for the
+    // backtracking search. RAP/clean only: the grid above already prices
+    // the other methods and verdict paths.
     constexpr int kCalls = 48;
     constexpr int kSpin = 120;
     std::string source = R"asm(
@@ -365,16 +349,6 @@ __code_end:
 struct MemoDelta {
   verify::MemoStats before;
   explicit MemoDelta(const Workload& w) : before(w.deployment->memo().stats()) {}
-  double hit_rate(const Workload& w) const {
-    const verify::MemoStats after = w.deployment->memo().stats();
-    const u64 hits = (after.hits - before.hits) +
-                     (after.frontier_hits - before.frontier_hits);
-    const u64 lookups = hits + (after.misses - before.misses) +
-                        (after.frontier_misses - before.frontier_misses);
-    return lookups == 0 ? 0.0
-                        : static_cast<double>(hits) /
-                              static_cast<double>(lookups);
-  }
   double segment_hit_rate(const Workload& w) const {
     const verify::MemoStats after = w.deployment->memo().stats();
     const u64 hits = after.hits - before.hits;
@@ -389,28 +363,25 @@ struct MemoDelta {
 /// the wire bytes with a fresh Verifier (so every chain gets an outstanding
 /// challenge, exactly like distinct devices reporting in). Memo-on rows
 /// start from a cleared cache, so the reported hit rate is what the repeated
-/// workload itself earned. `frontier` enables the checkpoint-frontier tier
-/// on top of the sub-path memo; `warm_restart` primes the cache, snapshots
-/// it with serialize_warm, clears, and restores before the timed region —
-/// the first-session-after-recovery cost a persistent warm start pays.
+/// workload itself earned. `warm_restart` primes the cache, snapshots it
+/// with serialize_warm, clears, and restores before the timed region — the
+/// first-session-after-recovery cost a persistent warm start pays.
 Row measure_serial(const Workload& w, bool rebuild, bool memo, size_t chains,
-                   int reps, bool frontier = false, bool warm_restart = false) {
+                   int reps, bool warm_restart = false) {
   Row row;
   row.app = w.app;
   row.method = w.method;
   row.mix = w.mix;
   row.mode = rebuild ? "serial_rebuild" : "serial_shared";
-  row.memo = !memo ? "off"
-                   : std::string("on") + (frontier ? "+frontier" : "") +
-                         (warm_restart ? "+warm" : "");
+  row.memo = !memo ? "off" : warm_restart ? "on+warm" : "on";
   row.chains = chains;
   row.reports = chains * w.reports_per_chain;
   row.wall_ns = ~0ull;
   if (memo) {
     w.deployment->memo().clear();
     if (warm_restart) {
-      verify_once(w, true, frontier);
-      verify_once(w, true, frontier);
+      verify_once(w, true);
+      verify_once(w, true);
       const std::vector<u8> snapshot = w.deployment->memo().serialize_warm();
       w.deployment->memo().clear();
       w.deployment->memo().restore_warm(snapshot);
@@ -443,7 +414,6 @@ Row measure_serial(const Workload& w, bool rebuild, bool memo, size_t chains,
       }
       verifier.set_expected_watermark(w.config.expected_watermark);
       verifier.set_memo(memo);
-      verifier.set_frontier(memo && frontier);
       verifier.adopt_challenge(w.chal);
       const auto decoded = cfa::try_decode_report_chain(w.wire);
       const verify::VerificationResult result =
@@ -462,7 +432,6 @@ Row measure_serial(const Workload& w, bool rebuild, bool memo, size_t chains,
             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
                 .count()));
   }
-  row.memo_hit_rate = delta.hit_rate(w);
   row.segment_hit_rate = delta.segment_hit_rate(w);
   if (row.wall_ns == 0) row.wall_ns = 1;
   row.chains_per_s = static_cast<double>(chains) * 1e9 /
@@ -483,9 +452,8 @@ Row measure_farm(const Workload& w, size_t workers, size_t chains, int reps) {
   row.method = w.method;
   row.mix = w.mix;
   row.mode = "farm";
-  // The farm runs the production VerifyConfig defaults: sub-path memo plus
-  // the checkpoint-frontier tier.
-  row.memo = "on+frontier";
+  // The farm runs the production VerifyConfig defaults (sub-path memo on).
+  row.memo = "on";
   row.workers_requested = workers;
   row.chains = chains;
   row.reports = chains * w.reports_per_chain;
@@ -519,7 +487,6 @@ Row measure_farm(const Workload& w, size_t workers, size_t chains, int reps) {
             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
                 .count()));
   }
-  row.memo_hit_rate = delta.hit_rate(w);
   row.segment_hit_rate = delta.segment_hit_rate(w);
   if (row.wall_ns == 0) row.wall_ns = 1;
   row.chains_per_s = static_cast<double>(chains) * 1e9 /
@@ -561,7 +528,6 @@ std::string render_json(const std::vector<Row>& rows, unsigned host_cpus,
        << ", \"reports\": " << r.reports << ", \"wall_ns\": " << r.wall_ns
        << ", \"chains_per_s\": " << r.chains_per_s
        << ", \"reports_per_s\": " << r.reports_per_s
-       << ", \"memo_hit_rate\": " << r.memo_hit_rate
        << ", \"segment_hit_rate\": " << r.segment_hit_rate
        << ", \"efficiency\": " << r.efficiency << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";
@@ -572,7 +538,7 @@ std::string render_json(const std::vector<Row>& rows, unsigned host_cpus,
 }
 
 /// Minimal schema check over the emitted text (same drift-tripwire style as
-/// bench_throughput): every row carries all fifteen keys, modes and memo
+/// bench_throughput): every row carries all fourteen keys, modes and memo
 /// states are from the known sets, wall_ns is nonzero, and the top level
 /// carries the bench id, host_cpus, hmac_lanes and memo_enabled.
 bool validate(const std::string& text, size_t expected_rows,
@@ -600,7 +566,7 @@ bool validate(const std::string& text, size_t expected_rows,
           "\"memo\": \"", "\"workers\": ", "\"workers_requested\": ",
           "\"chains\": ", "\"reports\": ", "\"wall_ns\": ",
           "\"chains_per_s\": ", "\"reports_per_s\": ",
-          "\"memo_hit_rate\": ", "\"segment_hit_rate\": ",
+          "\"segment_hit_rate\": ",
           "\"efficiency\": "}) {
       if (row.find(key) == std::string::npos) {
         error = "row " + std::to_string(rows) + " missing key " + key;
@@ -615,10 +581,7 @@ bool validate(const std::string& text, size_t expected_rows,
     }
     if (row.find("\"memo\": \"on\"") == std::string::npos &&
         row.find("\"memo\": \"off\"") == std::string::npos &&
-        row.find("\"memo\": \"on+frontier\"") == std::string::npos &&
-        row.find("\"memo\": \"on+warm\"") == std::string::npos &&
-        row.find("\"memo\": \"on+frontier+warm\"") == std::string::npos &&
-        row.find("\"memo\": \"on+frontier+noguard\"") == std::string::npos) {
+        row.find("\"memo\": \"on+warm\"") == std::string::npos) {
       error = "row " + std::to_string(rows) + " has an unknown memo state";
       return false;
     }
@@ -689,60 +652,16 @@ int main(int argc, char** argv) {
                 rebuild.chains_per_s, shared_off.chains_per_s,
                 shared_on.chains_per_s,
                 shared_on.chains_per_s / shared_off.chains_per_s,
-                shared_on.memo_hit_rate);
-    const double shared_on_rate = shared_on.reports_per_s;
+                shared_on.segment_hit_rate);
     all.push_back(std::move(rebuild));
     all.push_back(std::move(shared_off));
     all.push_back(std::move(shared_on));
 
-    // Frontier ablation, RAP only (naive/traces replay has no RAP-ambiguous
-    // checkpoints, so the frontier tier would be a no-op there):
-    // {frontier on/off} x {cold/warm-restored}, all against the "on" row
-    // above as the sub-path-memo-only baseline.
+    // Warm restart, RAP only: the first sessions after a verifier restores
+    // its MEM1 snapshot.
     if (w.method == "rap") {
-      Row on_warm = measure_serial(w, /*rebuild=*/false, /*memo=*/true,
-                                   chains, reps, /*frontier=*/false,
-                                   /*warm_restart=*/true);
-      Row frontier_cold = measure_serial(w, /*rebuild=*/false, /*memo=*/true,
-                                         chains, reps, /*frontier=*/true);
-      Row frontier_warm = measure_serial(w, /*rebuild=*/false, /*memo=*/true,
-                                         chains, reps, /*frontier=*/true,
-                                         /*warm_restart=*/true);
-      std::printf("%-12s %-7s %-9s frontier cold %9.0f chains/s (%.2fx vs "
-                  "memo, hit %.2f)   warm %9.0f chains/s (%.2fx, hit %.2f, "
-                  "seg %.2f)\n",
-                  w.app.c_str(), w.method.c_str(), w.mix.c_str(),
-                  frontier_cold.chains_per_s,
-                  frontier_cold.reports_per_s / shared_on_rate,
-                  frontier_cold.memo_hit_rate, frontier_warm.chains_per_s,
-                  frontier_warm.reports_per_s / shared_on_rate,
-                  frontier_warm.memo_hit_rate,
-                  frontier_warm.segment_hit_rate);
-      all.push_back(std::move(on_warm));
-      const double frontier_rate = frontier_cold.reports_per_s;
-      all.push_back(std::move(frontier_cold));
-      all.push_back(std::move(frontier_warm));
-
-      // Guarded-segments ablation: the same chain against a deployment whose
-      // memo runs the PR-7 abort-on-ambiguity rule (guarded_segments off).
-      // Shows what the §14 segment tier contributes on top of the frontier
-      // memo — on checkpoint-dense chains its hit rate collapses to ~0 here.
-      Workload noguard = w;
-      noguard.deployment = Deployment::rap(
-          w.deployment->program(), *w.deployment->rap_manifest(),
-          w.deployment->entry(),
-          verify::MemoOptions{.guarded_segments = false});
-      Row frontier_noguard = measure_serial(noguard, /*rebuild=*/false,
-                                            /*memo=*/true, chains, reps,
-                                            /*frontier=*/true);
-      frontier_noguard.memo = "on+frontier+noguard";
-      std::printf("%-12s %-7s %-9s noguard       %9.0f chains/s (%.2fx vs "
-                  "guarded, seg %.2f)\n",
-                  w.app.c_str(), w.method.c_str(), w.mix.c_str(),
-                  frontier_noguard.chains_per_s,
-                  frontier_noguard.reports_per_s / frontier_rate,
-                  frontier_noguard.segment_hit_rate);
-      all.push_back(std::move(frontier_noguard));
+      all.push_back(measure_serial(w, /*rebuild=*/false, /*memo=*/true, chains,
+                                   reps, /*warm_restart=*/true));
     }
 
     double w1_rate = 0.0;
@@ -757,7 +676,7 @@ int main(int argc, char** argv) {
                   "%12.0f reports/s  eff %.2f  hit %.2f\n",
                   w.app.c_str(), w.method.c_str(), w.mix.c_str(), row.workers,
                   row.workers_requested, row.chains_per_s, row.reports_per_s,
-                  row.efficiency, row.memo_hit_rate);
+                  row.efficiency, row.segment_hit_rate);
       all.push_back(std::move(row));
     }
   }

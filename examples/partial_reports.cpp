@@ -47,9 +47,7 @@ int main() {
     // The GPS parser has silently-rejoining leaf helpers, so the log can
     // admit several benign attributions (see README); confirm the true
     // path is among the accepted parses.
-    verify::PathReplayer checker(prepared.rap.program, prepared.built.entry,
-                                 verify::ReplayMode::Rap);
-    checker.set_rap_manifest(&prepared.rap.manifest);
+    verify::PathReplayer checker(*verifier.deployment());
     if (checker.check_path(run.oracle, result.inputs).complete) {
       lossless = "yes (up to attribution equivalence)";
     }

@@ -41,9 +41,8 @@ struct SpeculationDict;
 namespace raptrack::verify {
 
 /// Precomputed lookup structures over one deployed image. Built once per
-/// Deployment (or per legacy PathReplayer::replay call); immutable after
-/// construction. All returned pointers reference the backing program and
-/// manifest, which must outlive the index.
+/// Deployment; immutable after construction. All returned pointers
+/// reference the backing program and manifest, which must outlive the index.
 class ReplayIndex {
  public:
   ReplayIndex(const Program& program, ReplayMode mode,
@@ -118,11 +117,6 @@ struct VerifyConfig {
   /// with RAP_MEMO compiled out, every replay re-simulates from scratch
   /// (the memo-off ablation leg). Verdicts are identical either way.
   bool use_memo = true;
-  /// Consult the frontier memo tier (resolved RAP-ambiguity decisions) on
-  /// top of the sub-path cache. Only meaningful with use_memo; off restores
-  /// the PR-7 search behavior. Verdicts and digests are identical either
-  /// way (a failing frontier-influenced replay re-runs frontier-detached).
-  bool use_frontier = true;
 };
 
 /// One expected deployed image, fully preprocessed for verification.

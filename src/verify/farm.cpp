@@ -104,26 +104,12 @@ cfa::Challenge VerifierFarm::issue_challenge(DeviceId device) {
     }
   }
   sessions_.issue(device, chal);
-  prefetch_for(device);
   return chal;
 }
 
 void VerifierFarm::adopt_challenge(DeviceId device,
                                    const cfa::Challenge& chal) {
   sessions_.issue(device, chal);
-  prefetch_for(device);
-}
-
-void VerifierFarm::prefetch_for(DeviceId device) {
-  if (!kMemoEnabled) return;
-  std::shared_ptr<const Deployment> deployment;
-  {
-    std::lock_guard lock(mu_);
-    const auto it = devices_.find(device);
-    if (it == devices_.end() || !it->second.config.use_memo) return;
-    deployment = it->second.deployment;
-  }
-  if (deployment) deployment->memo().prefetch(device);
 }
 
 std::vector<std::shared_ptr<const Deployment>> VerifierFarm::deployments()

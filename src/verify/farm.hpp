@@ -163,9 +163,6 @@ class VerifierFarm {
   };
 
   std::future<VerificationResult> enqueue(DeviceId device, Job job);
-  /// Re-touch `device`'s tagged warm-cache entries (cross-session prefetch;
-  /// called on challenge issue/adopt, when a verification is imminent).
-  void prefetch_for(DeviceId device);
   VerificationResult execute(DeviceId device, const DeviceState& state,
                              Job& job, bool* forgery);
   /// One breaker transition under mu_: a forgery strike or a clean result.

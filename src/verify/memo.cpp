@@ -32,20 +32,6 @@ struct MemoObsMetrics {
   obs::Counter inserts = obs::registry().counter("verify.memo.inserts");
   obs::Counter evictions = obs::registry().counter("verify.memo.evictions");
   obs::Gauge bytes_hwm = obs::registry().gauge("verify.memo.bytes_hwm");
-  obs::Counter frontier_hits =
-      obs::registry().counter("verify.memo.frontier.hits");
-  obs::Counter frontier_misses =
-      obs::registry().counter("verify.memo.frontier.misses");
-  obs::Counter frontier_inserts =
-      obs::registry().counter("verify.memo.frontier.inserts");
-  obs::Counter prefetch_hits =
-      obs::registry().counter("verify.memo.prefetch.hits");
-  obs::Counter prefetch_warmed =
-      obs::registry().counter("verify.memo.prefetch.warmed");
-  /// A live chain-fingerprint entry was displaced by a different key (its
-  /// set was full). Fleet-sized runs watch this to size kChainFpSets.
-  obs::Counter fingerprint_evicted =
-      obs::registry().counter("verify.memo.fingerprint.evicted");
 
   static MemoObsMetrics& get() {
     static MemoObsMetrics metrics;
@@ -53,17 +39,12 @@ struct MemoObsMetrics {
   }
 };
 
-/// Caps for the cross-session prefetch tag table: keys per tier per device,
-/// and tagged devices overall (oldest tag evicted beyond that).
-constexpr size_t kMaxPrefetchKeys = 256;
-constexpr size_t kMaxPrefetchDevices = 1024;
-
 // ---- MEM1 warm-start codec helpers ----------------------------------------
 
 constexpr std::array<u8, 4> kMemMagic = {'M', 'E', 'M', '1'};
-/// v2 appended the per-segment guard list (frontier-guarded recording). v1
-/// blobs are rejected wholesale — a cold start, never a stale-guard splice.
-constexpr u32 kMemVersion = 2;
+/// v3 holds segments only. Every earlier version carried sections v3 no
+/// longer has and is refused whole — a cold start, never a misparse.
+constexpr u32 kMemVersion = 3;
 
 void put_u8(std::vector<u8>& out, u8 v) { out.push_back(v); }
 
@@ -171,26 +152,7 @@ void put_segment(std::vector<u8>& out, const MemoSegment& seg) {
   put_u64(out, seg.steps);
   put_u64(out, seg.index_hits);
   put_u64(out, seg.index_fallbacks);
-  put_u32(out, static_cast<u32>(seg.guards.size()));
-  for (const SegmentGuard& g : seg.guards) {
-    put_u32(out, g.pc);
-    put_valuation(out, g.val);
-    put_u32(out, g.d_packets);
-    put_u32(out, g.d_loops);
-    put_u32(out, g.d_bits);
-    put_u32(out, g.d_targets);
-    put_u32(out, g.pops);
-    put_u32(out, static_cast<u32>(g.suffix.size()));
-    for (const Address a : g.suffix) put_u32(out, a);
-    put_u8(out, g.decision ? 1 : 0);
-    put_u8(out, g.failed_mask);
-    put_u64(out, g.steps_delta);
-  }
 }
-
-/// Minimum serialized footprint of one guard (empty suffix): pc + valuation
-/// + four deltas + pops + suffix count + decision/failed_mask + steps_delta.
-constexpr size_t kGuardMinBytes = 4 + (16 * 4 + 4 + 4) + 4 * 4 + 4 + 4 + 2 + 8;
 
 MemoSegment read_segment(MemReader& r) {
   MemoSegment seg;
@@ -247,65 +209,7 @@ MemoSegment read_segment(MemReader& r) {
   seg.steps = r.u64_value();
   seg.index_hits = r.u64_value();
   seg.index_fallbacks = r.u64_value();
-  n = r.u32_value();
-  if (r.fits(n, kGuardMinBytes)) {
-    seg.guards.reserve(n);
-    for (u32 i = 0; i < n && r.ok; ++i) {
-      SegmentGuard g;
-      g.pc = r.u32_value();
-      g.val = read_valuation(r);
-      g.d_packets = r.u32_value();
-      g.d_loops = r.u32_value();
-      g.d_bits = r.u32_value();
-      g.d_targets = r.u32_value();
-      g.pops = r.u32_value();
-      const u32 ns = r.u32_value();
-      if (!r.fits(ns, 4)) break;
-      g.suffix.reserve(ns);
-      for (u32 j = 0; j < ns; ++j) g.suffix.push_back(r.u32_value());
-      g.decision = r.u8_value() != 0;
-      g.failed_mask = r.u8_value();
-      g.steps_delta = r.u64_value();
-      seg.guards.push_back(std::move(g));
-    }
-  }
   return seg;
-}
-
-void put_frontier(std::vector<u8>& out, const FrontierEntry& e) {
-  put_u32(out, e.pc);
-  put_valuation(out, e.val);
-  put_u64(out, e.policy_hash);
-  put_u8(out, e.strict ? 1 : 0);
-  put_u64(out, e.stack_hash);
-  put_u64(out, e.evidence_fp);
-  put_u32(out, e.packet_rem);
-  put_u32(out, e.loop_rem);
-  put_u32(out, e.bit_rem);
-  put_u32(out, e.target_rem);
-  put_u8(out, e.failed_mask);
-  put_u8(out, e.has_decision ? 1 : 0);
-  put_u8(out, e.decision ? 1 : 0);
-  put_u64(out, e.steps_to_complete);
-}
-
-FrontierEntry read_frontier(MemReader& r) {
-  FrontierEntry e;
-  e.pc = r.u32_value();
-  e.val = read_valuation(r);
-  e.policy_hash = r.u64_value();
-  e.strict = r.u8_value() != 0;
-  e.stack_hash = r.u64_value();
-  e.evidence_fp = r.u64_value();
-  e.packet_rem = r.u32_value();
-  e.loop_rem = r.u32_value();
-  e.bit_rem = r.u32_value();
-  e.target_rem = r.u32_value();
-  e.failed_mask = r.u8_value();
-  e.has_decision = r.u8_value() != 0;
-  e.decision = r.u8_value() != 0;
-  e.steps_to_complete = r.u64_value();
-  return e;
 }
 
 }  // namespace
@@ -321,42 +225,14 @@ u64 MemoValuation::hash() const {
   return h;
 }
 
-u64 FrontierEntry::key_hash() const {
-  u64 h = val.hash();
-  const auto mix = [&h](u64 v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  };
-  mix(pc);
-  mix(policy_hash);
-  mix(strict ? 0x5bf03635u : 0x2545f491u);
-  mix(stack_hash);
-  mix(evidence_fp);
-  mix((static_cast<u64>(packet_rem) << 32) | loop_rem);
-  mix((static_cast<u64>(bit_rem) << 32) | target_rem);
-  return h;
-}
-
-bool FrontierEntry::same_guards(const FrontierEntry& other) const {
-  return pc == other.pc && val == other.val &&
-         policy_hash == other.policy_hash && strict == other.strict &&
-         stack_hash == other.stack_hash && evidence_fp == other.evidence_fp &&
-         packet_rem == other.packet_rem && loop_rem == other.loop_rem &&
-         bit_rem == other.bit_rem && target_rem == other.target_rem;
-}
-
 size_t MemoSegment::bytes() const {
-  size_t total = sizeof(MemoSegment) + popped.capacity() * sizeof(Address) +
-                 packets.capacity() * sizeof(trace::BranchPacket) +
-                 loop_values.capacity() * sizeof(u32) +
-                 direction_bits.capacity() * sizeof(u8) +
-                 indirect_targets.capacity() * sizeof(Address) +
-                 pushed.capacity() * sizeof(Address) +
-                 events.capacity() * sizeof(trace::OracleEvent) +
-                 guards.capacity() * sizeof(SegmentGuard);
-  for (const SegmentGuard& g : guards) {
-    total += g.suffix.capacity() * sizeof(Address);
-  }
-  return total;
+  return sizeof(MemoSegment) + popped.capacity() * sizeof(Address) +
+         packets.capacity() * sizeof(trace::BranchPacket) +
+         loop_values.capacity() * sizeof(u32) +
+         direction_bits.capacity() * sizeof(u8) +
+         indirect_targets.capacity() * sizeof(Address) +
+         pushed.capacity() * sizeof(Address) +
+         events.capacity() * sizeof(trace::OracleEvent);
 }
 
 bool MemoSegment::same_entry(const MemoSegment& other) const {
@@ -367,8 +243,7 @@ bool MemoSegment::same_entry(const MemoSegment& other) const {
          indirect_targets == other.indirect_targets &&
          peeked_next == other.peeked_next &&
          (!peeked_next || peeked == other.peeked) &&
-         eos_observed == other.eos_observed && halted == other.halted &&
-         guards == other.guards;
+         eos_observed == other.eos_observed && halted == other.halted;
 }
 
 MemoCache::MemoCache(MemoOptions options) : options_(options) {
@@ -380,11 +255,7 @@ MemoCache::MemoCache(MemoOptions options) : options_(options) {
   shard_budget_ = std::max<size_t>(1, options_.budget_bytes / shard_count);
   shards_ = std::vector<Shard>(shard_count);
   const size_t slots = std::max<size_t>(kProbe, options_.slots_per_shard);
-  const size_t fslots = std::max<size_t>(kProbe, options_.frontier_slots_per_shard);
-  for (Shard& shard : shards_) {
-    shard.slots.resize(slots);
-    shard.fslots.resize(fslots);
-  }
+  for (Shard& shard : shards_) shard.slots.resize(slots);
 }
 
 size_t MemoCache::lookup(u64 key, Handle* out, size_t max) const {
@@ -452,7 +323,7 @@ void MemoCache::insert(u64 key, Handle segment) {
     shard.bytes += size;
     bytes_.fetch_add(size, std::memory_order_relaxed);
     entries_.fetch_add(1, std::memory_order_relaxed);
-    evicted += sweep_to_budget(shard, dest, nullptr);
+    evicted += sweep_to_budget(shard, dest);
   }
   inserts_.fetch_add(1, std::memory_order_relaxed);
   if (evicted != 0) evictions_.fetch_add(evicted, std::memory_order_relaxed);
@@ -478,305 +349,19 @@ void MemoCache::note_miss() const {
   if constexpr (obs::kEnabled) MemoObsMetrics::get().misses.inc();
 }
 
-bool MemoCache::frontier_lookup(const FrontierEntry& guards,
-                                FrontierEntry* out) const {
-#if RAP_MEMO_ENABLED
-  if (g_memo_disabled) return false;
-  const u64 key = guards.key_hash();
-  Shard& shard = shard_for(key);
-  bool found = false;
-  {
-    std::lock_guard lock(shard.mu);
-    const size_t base = probe_base(key, shard.fslots.size());
-    for (size_t i = 0; i < kProbe; ++i) {
-      FrontierSlot& slot = shard.fslots[(base + i) % shard.fslots.size()];
-      if (slot.used && slot.key == key && slot.entry.same_guards(guards)) {
-        slot.tick = ++shard.ftick;
-        ++slot.hits;
-        if (out != nullptr) *out = slot.entry;
-        found = true;
-        break;
-      }
-    }
-  }
-  if (found) {
-    frontier_hits_.fetch_add(1, std::memory_order_relaxed);
-    if constexpr (obs::kEnabled) MemoObsMetrics::get().frontier_hits.inc();
-  } else {
-    frontier_misses_.fetch_add(1, std::memory_order_relaxed);
-    if constexpr (obs::kEnabled) MemoObsMetrics::get().frontier_misses.inc();
-  }
-  return found;
-#else
-  (void)guards;
-  (void)out;
-  return false;
-#endif
-}
-
-void MemoCache::frontier_insert(const FrontierEntry& entry) {
-#if RAP_MEMO_ENABLED
-  if (g_memo_disabled) return;
-  if (kFrontierEntryBytes > shard_budget_) {
-    // A budget smaller than one slot cannot hold any frontier entry.
-    rejects_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const u64 key = entry.key_hash();
-  Shard& shard = shard_for(key);
+u64 MemoCache::sweep_to_budget(Shard& shard, const Slot* keep) {
   u64 evicted = 0;
-  {
-    std::lock_guard lock(shard.mu);
-    const size_t base = probe_base(key, shard.fslots.size());
-    FrontierSlot* match = nullptr;
-    FrontierSlot* empty = nullptr;
-    FrontierSlot* lru = nullptr;
-    for (size_t i = 0; i < kProbe; ++i) {
-      FrontierSlot& slot = shard.fslots[(base + i) % shard.fslots.size()];
-      if (!slot.used) {
-        if (empty == nullptr) empty = &slot;
-      } else if (slot.key == key && slot.entry.same_guards(entry)) {
-        match = &slot;
-        break;
-      } else if (lru == nullptr || slot.tick < lru->tick) {
-        lru = &slot;
-      }
-    }
-    if (match != nullptr) {
-      // Pool knowledge: dead-branch bits OR together; a known-good decision
-      // fills in once and stays (concurrent recorders agree — the decision
-      // is a function of the guarded state).
-      match->entry.failed_mask |= entry.failed_mask;
-      if (!match->entry.has_decision && entry.has_decision) {
-        match->entry.has_decision = true;
-        match->entry.decision = entry.decision;
-        match->entry.steps_to_complete = entry.steps_to_complete;
-      }
-      match->tick = ++shard.ftick;
-    } else {
-      FrontierSlot* dest = empty != nullptr ? empty : lru;
-      if (dest->used) {
-        ++evicted;
-      } else {
-        ++shard.fcount;
-        shard.bytes += kFrontierEntryBytes;
-        bytes_.fetch_add(kFrontierEntryBytes, std::memory_order_relaxed);
-        frontier_entries_.fetch_add(1, std::memory_order_relaxed);
-      }
-      dest->key = key;
-      dest->entry = entry;
-      dest->tick = ++shard.ftick;
-      dest->hits = 0;
-      dest->used = true;
-      evicted += sweep_to_budget(shard, nullptr, dest);
-    }
-  }
-  frontier_inserts_.fetch_add(1, std::memory_order_relaxed);
-  if (evicted != 0) evictions_.fetch_add(evicted, std::memory_order_relaxed);
-  if constexpr (obs::kEnabled) {
-    auto& metrics = MemoObsMetrics::get();
-    metrics.frontier_inserts.inc();
-    if (evicted != 0) metrics.evictions.inc(evicted);
-    metrics.bytes_hwm.set_max(bytes_.load(std::memory_order_relaxed));
-  }
-#else
-  (void)entry;
-#endif
-}
-
-u64 MemoCache::sweep_to_budget(Shard& shard, const Slot* keep_slot,
-                               const FrontierSlot* keep_fslot) {
-  // Two-tier clock sweep with scanned-count termination: the inserting tier
-  // evicts its own entries first, then the other tier pays if the shard is
-  // still over budget. Each tier's scan visits every slot at most once, so
-  // the sweep cannot spin on empty slots (the old single-tier loop could,
-  // when frontier bytes alone kept the shard over budget with no segment
-  // victims left). Post-condition: shard.bytes <= shard_budget_, because the
-  // protected fresh entry alone fits the budget (both insert paths reject
-  // oversize entries before getting here).
-  u64 evicted = 0;
-  const bool frontier_first = keep_fslot != nullptr;
-  for (int tier = 0; tier < 2 && shard.bytes > shard_budget_; ++tier) {
-    const bool frontier = (tier == 0) == frontier_first;
-    if (frontier) {
-      for (size_t scanned = 0;
-           shard.bytes > shard_budget_ && scanned < shard.fslots.size();
-           ++scanned) {
-        FrontierSlot& victim =
-            shard.fslots[shard.fsweep_hand++ % shard.fslots.size()];
-        if (&victim == keep_fslot || !victim.used) continue;
-        victim.used = false;
-        --shard.fcount;
-        shard.bytes -= kFrontierEntryBytes;
-        bytes_.fetch_sub(kFrontierEntryBytes, std::memory_order_relaxed);
-        frontier_entries_.fetch_sub(1, std::memory_order_relaxed);
-        ++evicted;
-      }
-    } else {
-      for (size_t scanned = 0;
-           shard.bytes > shard_budget_ && scanned < shard.slots.size();
-           ++scanned) {
-        Slot& victim = shard.slots[shard.sweep_hand++ % shard.slots.size()];
-        if (&victim == keep_slot || victim.segment == nullptr) continue;
-        shard.bytes -= victim.segment->bytes();
-        bytes_.fetch_sub(victim.segment->bytes(), std::memory_order_relaxed);
-        entries_.fetch_sub(1, std::memory_order_relaxed);
-        victim.segment.reset();
-        ++evicted;
-      }
-    }
+  for (size_t scanned = 0;
+       shard.bytes > shard_budget_ && scanned < shard.slots.size(); ++scanned) {
+    Slot& victim = shard.slots[shard.sweep_hand++ % shard.slots.size()];
+    if (&victim == keep || victim.segment == nullptr) continue;
+    shard.bytes -= victim.segment->bytes();
+    bytes_.fetch_sub(victim.segment->bytes(), std::memory_order_relaxed);
+    entries_.fetch_sub(1, std::memory_order_relaxed);
+    victim.segment.reset();
+    ++evicted;
   }
   return evicted;
-}
-
-bool MemoCache::chain_fp_lookup(u64 key, u64* fp) const {
-#if RAP_MEMO_ENABLED
-  if (g_memo_disabled) return false;
-  std::lock_guard lock(chain_fp_mu_);
-  ChainFpSlot* const set = &chain_fp_slots_[(key % kChainFpSets) * kChainFpWays];
-  for (size_t way = 0; way < kChainFpWays; ++way) {
-    ChainFpSlot& slot = set[way];
-    if (slot.valid && slot.key == key) {
-      slot.tick = ++chain_fp_tick_;
-      if (fp != nullptr) *fp = slot.fp;
-      return true;
-    }
-  }
-  return false;
-#else
-  (void)key;
-  (void)fp;
-  return false;
-#endif
-}
-
-void MemoCache::chain_fp_store(u64 key, u64 fp) {
-#if RAP_MEMO_ENABLED
-  if (g_memo_disabled) return;
-  std::lock_guard lock(chain_fp_mu_);
-  ChainFpSlot* const set = &chain_fp_slots_[(key % kChainFpSets) * kChainFpWays];
-  // Same key refreshes in place; otherwise fill an empty way; otherwise
-  // displace the least-recently-touched way (and count the casualty — a
-  // fleet whose working set of live chains overflows the sets shows up
-  // here, not as silent hit-rate loss).
-  ChainFpSlot* victim = &set[0];
-  for (size_t way = 0; way < kChainFpWays; ++way) {
-    ChainFpSlot& slot = set[way];
-    if (slot.valid && slot.key == key) {
-      slot.fp = fp;
-      slot.tick = ++chain_fp_tick_;
-      return;
-    }
-    if (!slot.valid) {
-      victim = &slot;
-      break;
-    }
-    if (slot.tick < victim->tick) victim = &slot;
-  }
-  if (victim->valid && victim->key != key) {
-    if constexpr (obs::kEnabled) {
-      MemoObsMetrics::get().fingerprint_evicted.inc();
-    }
-  }
-  *victim = {key, fp, ++chain_fp_tick_, true};
-#else
-  (void)key;
-  (void)fp;
-#endif
-}
-
-size_t MemoCache::touch_key(u64 key, bool frontier) {
-  Shard& shard = shard_for(key);
-  std::lock_guard lock(shard.mu);
-  size_t warmed = 0;
-  if (frontier) {
-    const size_t base = probe_base(key, shard.fslots.size());
-    for (size_t i = 0; i < kProbe; ++i) {
-      FrontierSlot& slot = shard.fslots[(base + i) % shard.fslots.size()];
-      if (slot.used && slot.key == key) {
-        slot.tick = ++shard.ftick;
-        ++warmed;
-      }
-    }
-  } else {
-    const size_t base = probe_base(key, shard.slots.size());
-    for (size_t i = 0; i < kProbe; ++i) {
-      Slot& slot = shard.slots[(base + i) % shard.slots.size()];
-      if (slot.segment != nullptr && slot.key == key) {
-        slot.tick = ++shard.tick;
-        ++warmed;
-      }
-    }
-  }
-  return warmed;
-}
-
-void MemoCache::note_session(u64 device, std::span<const u64> segment_keys,
-                             std::span<const u64> frontier_keys) {
-#if RAP_MEMO_ENABLED
-  if (g_memo_disabled) return;
-  if (segment_keys.empty() && frontier_keys.empty()) return;
-  const auto dedup_cap = [](std::span<const u64> keys) {
-    std::vector<u64> out;
-    out.reserve(std::min(keys.size(), kMaxPrefetchKeys));
-    for (const u64 key : keys) {
-      if (out.size() >= kMaxPrefetchKeys) break;
-      if (std::find(out.begin(), out.end(), key) == out.end()) {
-        out.push_back(key);
-      }
-    }
-    return out;
-  };
-  std::lock_guard lock(device_mu_);
-  if (device_tags_.size() >= kMaxPrefetchDevices &&
-      device_tags_.find(device) == device_tags_.end()) {
-    // Evict the stalest tag set (smallest stamp) to stay bounded.
-    auto oldest = device_tags_.begin();
-    for (auto it = device_tags_.begin(); it != device_tags_.end(); ++it) {
-      if (it->second.stamp < oldest->second.stamp) oldest = it;
-    }
-    device_tags_.erase(oldest);
-  }
-  DeviceTags& tags = device_tags_[device];
-  tags.segment_keys = dedup_cap(segment_keys);
-  tags.frontier_keys = dedup_cap(frontier_keys);
-  tags.stamp = ++device_stamp_;
-#else
-  (void)device;
-  (void)segment_keys;
-  (void)frontier_keys;
-#endif
-}
-
-size_t MemoCache::prefetch(u64 device) {
-#if RAP_MEMO_ENABLED
-  if (g_memo_disabled) return 0;
-  std::vector<u64> seg_keys;
-  std::vector<u64> frontier_keys;
-  {
-    std::lock_guard lock(device_mu_);
-    const auto it = device_tags_.find(device);
-    if (it == device_tags_.end()) return 0;
-    seg_keys = it->second.segment_keys;
-    frontier_keys = it->second.frontier_keys;
-  }
-  size_t warmed = 0;
-  for (const u64 key : seg_keys) warmed += touch_key(key, /*frontier=*/false);
-  for (const u64 key : frontier_keys) warmed += touch_key(key, /*frontier=*/true);
-  if (warmed > 0) {
-    prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
-    prefetch_warmed_.fetch_add(warmed, std::memory_order_relaxed);
-    if constexpr (obs::kEnabled) {
-      auto& metrics = MemoObsMetrics::get();
-      metrics.prefetch_hits.inc();
-      metrics.prefetch_warmed.inc(warmed);
-    }
-  }
-  return warmed;
-#else
-  (void)device;
-  return 0;
-#endif
 }
 
 std::vector<u8> MemoCache::serialize_warm() const {
@@ -784,7 +369,7 @@ std::vector<u8> MemoCache::serialize_warm() const {
   out.insert(out.end(), kMemMagic.begin(), kMemMagic.end());
   put_u32(out, kMemVersion);
 
-  // Rank each tier by lifetime hit count (tie: most recently touched) and
+  // Rank segments by lifetime hit count (tie: most recently touched) and
   // serialize the top-K — the entries a restarted verifier will want first.
   struct SegRank {
     u64 hits = 0;
@@ -792,13 +377,7 @@ std::vector<u8> MemoCache::serialize_warm() const {
     u64 key = 0;
     Handle segment;
   };
-  struct FrontRank {
-    u64 hits = 0;
-    u64 tick = 0;
-    FrontierEntry entry;
-  };
   std::vector<SegRank> segments;
-  std::vector<FrontRank> frontier;
   for (const Shard& shard : shards_) {
     std::lock_guard lock(shard.mu);
     for (const Slot& slot : shard.slots) {
@@ -806,39 +385,20 @@ std::vector<u8> MemoCache::serialize_warm() const {
         segments.push_back({slot.hits, slot.tick, slot.key, slot.segment});
       }
     }
-    for (const FrontierSlot& slot : shard.fslots) {
-      if (slot.used) frontier.push_back({slot.hits, slot.tick, slot.entry});
-    }
   }
-  const auto rank = [](const auto& a, const auto& b) {
-    return a.hits != b.hits ? a.hits > b.hits : a.tick > b.tick;
-  };
-  std::sort(segments.begin(), segments.end(), rank);
-  std::sort(frontier.begin(), frontier.end(), rank);
-  const size_t top_k = options_.snapshot_top_k;
-  if (segments.size() > top_k) segments.resize(top_k);
-  if (frontier.size() > top_k) frontier.resize(top_k);
+  std::sort(segments.begin(), segments.end(),
+            [](const SegRank& a, const SegRank& b) {
+              return a.hits != b.hits ? a.hits > b.hits : a.tick > b.tick;
+            });
+  if (segments.size() > options_.snapshot_top_k) {
+    segments.resize(options_.snapshot_top_k);
+  }
 
   put_u32(out, static_cast<u32>(segments.size()));
   for (const SegRank& s : segments) {
     put_u64(out, s.key);
     put_segment(out, *s.segment);
   }
-  put_u32(out, static_cast<u32>(frontier.size()));
-  for (const FrontRank& f : frontier) put_frontier(out, f.entry);
-
-  {
-    std::lock_guard lock(device_mu_);
-    put_u32(out, static_cast<u32>(device_tags_.size()));
-    for (const auto& [device, tags] : device_tags_) {
-      put_u64(out, device);
-      put_u32(out, static_cast<u32>(tags.segment_keys.size()));
-      for (const u64 key : tags.segment_keys) put_u64(out, key);
-      put_u32(out, static_cast<u32>(tags.frontier_keys.size()));
-      for (const u64 key : tags.frontier_keys) put_u64(out, key);
-    }
-  }
-
   put_u32(out, crc32(out));
   return out;
 }
@@ -868,35 +428,6 @@ bool MemoCache::restore_warm(std::span<const u8> blob) {
     const u64 key = r.u64_value();
     segments.emplace_back(key, read_segment(r));
   }
-  std::vector<FrontierEntry> frontier;
-  const u32 frontier_count = r.u32_value();
-  if (!r.fits(frontier_count, 32)) return false;
-  frontier.reserve(frontier_count);
-  for (u32 i = 0; i < frontier_count && r.ok; ++i) {
-    frontier.push_back(read_frontier(r));
-  }
-  struct StagedTags {
-    u64 device = 0;
-    std::vector<u64> segment_keys;
-    std::vector<u64> frontier_keys;
-  };
-  std::vector<StagedTags> tags;
-  const u32 device_count = r.u32_value();
-  if (!r.fits(device_count, 8)) return false;
-  tags.reserve(device_count);
-  for (u32 i = 0; i < device_count && r.ok; ++i) {
-    StagedTags t;
-    t.device = r.u64_value();
-    const u32 ns = r.u32_value();
-    if (!r.fits(ns, 8)) return false;
-    t.segment_keys.reserve(ns);
-    for (u32 j = 0; j < ns; ++j) t.segment_keys.push_back(r.u64_value());
-    const u32 nf = r.u32_value();
-    if (!r.fits(nf, 8)) return false;
-    t.frontier_keys.reserve(nf);
-    for (u32 j = 0; j < nf; ++j) t.frontier_keys.push_back(r.u64_value());
-    tags.push_back(std::move(t));
-  }
   if (!r.done()) return false;
 
   // Commit. Serialization order was hottest-first; insert in reverse so the
@@ -904,12 +435,6 @@ bool MemoCache::restore_warm(std::span<const u8> blob) {
   for (auto it = segments.rbegin(); it != segments.rend(); ++it) {
     insert(it->first,
            std::make_shared<const MemoSegment>(std::move(it->second)));
-  }
-  for (auto it = frontier.rbegin(); it != frontier.rend(); ++it) {
-    frontier_insert(*it);
-  }
-  for (const StagedTags& t : tags) {
-    note_session(t.device, t.segment_keys, t.frontier_keys);
   }
   return true;
 }
@@ -923,28 +448,9 @@ void MemoCache::clear() {
       slot.hits = 0;
       slot.segment.reset();
     }
-    for (FrontierSlot& slot : shard.fslots) {
-      slot.key = 0;
-      slot.tick = 0;
-      slot.hits = 0;
-      slot.used = false;
-      slot.entry = FrontierEntry{};
-    }
     shard.bytes = 0;
-    shard.fcount = 0;
     shard.tick = 0;
-    shard.ftick = 0;
     shard.sweep_hand = 0;
-    shard.fsweep_hand = 0;
-  }
-  {
-    std::lock_guard lock(device_mu_);
-    device_tags_.clear();
-    device_stamp_ = 0;
-  }
-  {
-    std::lock_guard lock(chain_fp_mu_);
-    chain_fp_slots_.fill({});
   }
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
@@ -953,12 +459,6 @@ void MemoCache::clear() {
   rejects_.store(0, std::memory_order_relaxed);
   bytes_.store(0, std::memory_order_relaxed);
   entries_.store(0, std::memory_order_relaxed);
-  frontier_hits_.store(0, std::memory_order_relaxed);
-  frontier_misses_.store(0, std::memory_order_relaxed);
-  frontier_inserts_.store(0, std::memory_order_relaxed);
-  frontier_entries_.store(0, std::memory_order_relaxed);
-  prefetch_hits_.store(0, std::memory_order_relaxed);
-  prefetch_warmed_.store(0, std::memory_order_relaxed);
 }
 
 MemoStats MemoCache::stats() const {
@@ -970,12 +470,6 @@ MemoStats MemoCache::stats() const {
   stats.rejects = rejects_.load(std::memory_order_relaxed);
   stats.bytes = bytes_.load(std::memory_order_relaxed);
   stats.entries = entries_.load(std::memory_order_relaxed);
-  stats.frontier_hits = frontier_hits_.load(std::memory_order_relaxed);
-  stats.frontier_misses = frontier_misses_.load(std::memory_order_relaxed);
-  stats.frontier_inserts = frontier_inserts_.load(std::memory_order_relaxed);
-  stats.frontier_entries = frontier_entries_.load(std::memory_order_relaxed);
-  stats.prefetch_hits = prefetch_hits_.load(std::memory_order_relaxed);
-  stats.prefetch_warmed = prefetch_warmed_.load(std::memory_order_relaxed);
   return stats;
 }
 

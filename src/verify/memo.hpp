@@ -43,7 +43,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -77,34 +76,6 @@ struct MemoValuation {
   friend bool operator==(const MemoValuation&, const MemoValuation&) = default;
 };
 
-/// One frontier-guarded decision absorbed into a recorded segment: at this
-/// point inside the segment (cursor/step deltas are relative to the segment
-/// entry), the engine took `decision` because a resident frontier entry
-/// covered the exact total state. The segment may only splice when an
-/// equivalent entry still covers the live state — splice-time re-validation
-/// rebuilds the frontier guards from the live chain (stack prefix below the
-/// anchor comes from the live stack, the recorded suffix above it from the
-/// guard) and requires a resident decision entry with the same decision and
-/// at least the dead-branch knowledge recorded here.
-struct SegmentGuard {
-  Address pc = 0;     ///< the ambiguous site the decision was taken at
-  MemoValuation val;  ///< packed valuation at the site
-  u32 d_packets = 0;  ///< evidence-cursor deltas vs. the segment entry
-  u32 d_loops = 0;
-  u32 d_bits = 0;
-  u32 d_targets = 0;
-  /// Shadow-stack shape at the site: `pops` entries of the anchor stack had
-  /// been consumed (a prefix of MemoSegment::popped), and `suffix` (bottom
-  /// first) sat above that point. The guard-time stack is therefore
-  /// live_stack[0 .. L-pops) ++ suffix for a live stack of depth L.
-  u32 pops = 0;
-  std::vector<Address> suffix;
-  bool decision = false;  ///< the frontier-recorded decision taken
-  u8 failed_mask = 0;     ///< dead-branch bits the entry carried at the time
-  u64 steps_delta = 0;    ///< steps from segment entry to the site
-  friend bool operator==(const SegmentGuard&, const SegmentGuard&) = default;
-};
-
 /// One memoized segment: the exact-match entry guards (key side) and the
 /// recorded effects to splice on a hit (value side). Immutable once
 /// inserted; shared across threads by const pointer.
@@ -132,11 +103,6 @@ struct MemoSegment {
   /// Segment ends at a clean halt: every evidence stream must be *exactly*
   /// exhausted by the window, and applying it completes the replay.
   bool halted = false;
-  /// Frontier-guarded decisions the recording absorbed instead of aborting
-  /// at a RAP-ambiguous site. Empty for ordinary segments. Non-empty guards
-  /// are re-validated against the live frontier on every splice attempt; a
-  /// detached engine (frontier off) never splices a guarded segment.
-  std::vector<SegmentGuard> guards;
 
   // -- value side: effects spliced into the engine on a hit ----------------
   Address exit_pc = 0;
@@ -155,58 +121,13 @@ struct MemoSegment {
   bool same_entry(const MemoSegment& other) const;
 };
 
-/// One frontier-memo entry: a resolved RAP-ambiguity decision, promoted from
-/// a single replay's backtracking search to the shared Deployment cache.
-///
-/// The guards fingerprint the engine's *total* state at the ambiguous site —
-/// pc, packed valuation, policy, strictness, the full shadow stack (hashed),
-/// and the entire remaining evidence suffix of all four streams (hashed, plus
-/// exact remaining counts). Because the engine is deterministic given state +
-/// evidence, a guard match means the search from this state will unfold
-/// exactly as it did before: a recorded known-good decision completes the
-/// replay without saving a checkpoint, and a recorded failed direction is a
-/// dead branch that need not be re-explored. 64-bit fingerprints admit an
-/// astronomically unlikely collision; the replayer covers even that by
-/// re-running any *failing* replay with the frontier detached (see
-/// replayer.cpp), so a collision can cost time, never a verdict.
-struct FrontierEntry {
-  // -- guards: the entry applies only when ALL of these match --------------
-  Address pc = 0;
-  MemoValuation val;
-  u64 policy_hash = 0;
-  bool strict = false;
-  u64 stack_hash = 0;     ///< hash over the full shadow stack, bottom-up
-  u64 evidence_fp = 0;    ///< hash over the remaining suffix of all streams
-  u32 packet_rem = 0;     ///< packets remaining at the site
-  u32 loop_rem = 0;       ///< loop values remaining
-  u32 bit_rem = 0;        ///< direction bits remaining
-  u32 target_rem = 0;     ///< indirect targets remaining
-
-  // -- value: what the search learned from this state ----------------------
-  /// bit 0: decision `false` is known to fail; bit 1: decision `true` fails.
-  u8 failed_mask = 0;
-  /// A decision from this state that led to a complete, consistent parse.
-  bool has_decision = false;
-  bool decision = false;
-  /// Steps the accepted path took from this site to the clean halt — used to
-  /// honor the caller's step budget before skipping the checkpoint.
-  u64 steps_to_complete = 0;
-
-  u64 key_hash() const;
-  bool same_guards(const FrontierEntry& other) const;
-};
-
 struct MemoOptions {
   /// Shard count (lock granularity). Power of two.
   size_t shards = 16;
   /// Open-addressed slots per shard.
   size_t slots_per_shard = 2048;
-  /// Frontier-memo slots per shard. Entries are small and fixed-size
-  /// (~200 B), so the default table costs ~800 KiB per shard fully loaded —
-  /// still charged against `budget_bytes`, with its own eviction clock.
-  size_t frontier_slots_per_shard = 4096;
-  /// Entries (per tier, by hit count) serialized into a MEM1 warm-start
-  /// section. Bounds snapshot size; 0 disables the section payload.
+  /// Segments (by hit count) serialized into a MEM1 warm-start section.
+  /// Bounds snapshot size; 0 disables the section payload.
   size_t snapshot_top_k = 4096;
   /// Byte budget across the whole cache (split evenly over shards).
   /// Entries larger than one shard's budget are rejected outright.
@@ -225,13 +146,6 @@ struct MemoOptions {
   /// every opportunity); the differential tests use that to force dense
   /// cache traffic on RAP chains.
   u32 anchor_backoff_cap = 512;
-  /// Frontier-aware segment recording: when a RAP-ambiguous site resolves
-  /// through a frontier decision hit, the in-flight recording absorbs the
-  /// decision as a SegmentGuard and keeps going instead of aborting. Off
-  /// restores the PR-7 rule (any ambiguity aborts recording) — the §14 tier
-  /// then stays dead on checkpoint-dense chains. Ablation switch; results
-  /// are bit-identical either way.
-  bool guarded_segments = true;
 };
 
 /// Point-in-time cache statistics (relaxed-atomic reads; exact only when
@@ -242,25 +156,16 @@ struct MemoStats {
   u64 inserts = 0;     ///< segments stored
   u64 evictions = 0;   ///< segments displaced (LRU or budget sweep)
   u64 rejects = 0;     ///< inserts refused (entry larger than a shard budget)
-  u64 bytes = 0;       ///< current resident bytes (segments + frontier)
+  u64 bytes = 0;       ///< current resident segment bytes
   u64 entries = 0;     ///< current resident segment count
 
-  u64 frontier_hits = 0;      ///< frontier lookups whose guards matched
-  u64 frontier_misses = 0;    ///< frontier lookups that found nothing
-  u64 frontier_inserts = 0;   ///< frontier entries stored or merged
-  u64 frontier_entries = 0;   ///< current resident frontier entries
-
-  u64 prefetch_hits = 0;      ///< prefetch calls that found >=1 resident entry
-  u64 prefetch_warmed = 0;    ///< entries re-touched resident by prefetch
+  /// Always zero: the frontier tier is gone; kept for the e2e bench report.
+  u64 frontier_hits = 0;
+  u64 frontier_misses = 0;
 
   double hit_rate() const {
     const u64 total = hits + misses;
     return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
-  }
-  double frontier_hit_rate() const {
-    const u64 total = frontier_hits + frontier_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(frontier_hits) / static_cast<double>(total);
   }
 };
 
@@ -289,56 +194,16 @@ class MemoCache {
   void note_hit() const;
   void note_miss() const;
 
-  // -- frontier tier --------------------------------------------------------
-
-  /// Find the frontier entry whose guards exactly match `guards` and copy it
-  /// into `out`. Returns true on a guard match (counted as a frontier hit).
-  bool frontier_lookup(const FrontierEntry& guards, FrontierEntry* out) const;
-
-  /// Store a resolved-ambiguity entry. A guard-matching resident entry
-  /// *merges* instead of duplicating: failed bits OR together and a recorded
-  /// decision fills in if absent, so concurrent workers pool what each
-  /// replay's search learned. Charged against the shared byte budget with a
-  /// frontier-local eviction clock.
-  void frontier_insert(const FrontierEntry& entry);
-
-  // -- whole-chain fingerprint cache ----------------------------------------
-
-  /// Cross-call cache of the whole-chain evidence fingerprint, keyed by a
-  /// caller-computed chain identity hash (challenge + report MACs — already
-  /// authenticated, so the key pins the evidence content). Repeated
-  /// verifications of an identical chain (farm retries, re-deliveries) seed
-  /// PathReplayer::seed_chain_fingerprint from here and skip the full-stream
-  /// hash pass. Fixed-size set-associative table (see ChainFpSlot below);
-  /// a full set displaces its least-recently-used entry and bumps the
-  /// verify.memo.fingerprint.evicted counter.
-  bool chain_fp_lookup(u64 key, u64* fp) const;
-  void chain_fp_store(u64 key, u64 fp);
-
-  // -- cross-session prefetch -----------------------------------------------
-
-  /// Tag `device` with the cache keys its just-completed session touched.
-  /// Later prefetch(device) re-touches them so tick-LRU keeps them resident
-  /// across other devices' traffic. Key lists are deduplicated and capped;
-  /// the device table itself is capped with oldest-tag eviction.
-  void note_session(u64 device, std::span<const u64> segment_keys,
-                    std::span<const u64> frontier_keys);
-
-  /// Pre-touch the entries tagged for `device` (both tiers). Returns the
-  /// number of still-resident entries warmed. Obs counters
-  /// verify.memo.prefetch.{hits,warmed}.
-  size_t prefetch(u64 device);
-
   // -- persistent warm start (MEM1) -----------------------------------------
 
-  /// Serialize the top-K entries of each tier (by hit count) plus the device
-  /// prefetch tags into a standalone, versioned, CRC-protected MEM1 blob.
+  /// Serialize the top-K segments (by hit count) into a standalone,
+  /// versioned, CRC-protected MEM1 blob.
   std::vector<u8> serialize_warm() const;
 
   /// Restore a MEM1 blob produced by serialize_warm. All-or-nothing: returns
   /// false (cache untouched — cold, never wrong) on any malformation,
-  /// truncation, or checksum mismatch. On success the restored entries are
-  /// inserted hot, as if just recorded.
+  /// truncation, checksum mismatch, or other format version. On success the
+  /// restored entries are inserted hot, as if just recorded.
   bool restore_warm(std::span<const u8> blob);
 
   /// Drop every entry and reset statistics (bench/test isolation).
@@ -359,76 +224,25 @@ class MemoCache {
     u64 hits = 0;  ///< lifetime candidate returns (MEM1 top-K ranking)
     Handle segment;
   };
-  struct FrontierSlot {
-    u64 key = 0;
-    u64 tick = 0;  ///< frontier-local eviction clock
-    u64 hits = 0;
-    bool used = false;
-    FrontierEntry entry;
-  };
-
- public:
-  /// Budget charge for one resident frontier entry: the full inline slot
-  /// footprint, so the byte budget never undercounts the tier.
-  static constexpr size_t kFrontierEntryBytes = sizeof(FrontierSlot);
-
- private:
   struct alignas(64) Shard {
     mutable std::mutex mu;
     std::vector<Slot> slots;
-    std::vector<FrontierSlot> fslots;
-    size_t bytes = 0;      ///< segment + frontier bytes, against shard budget
-    size_t fcount = 0;     ///< resident frontier entries
+    size_t bytes = 0;  ///< resident segment bytes, against the shard budget
     u64 tick = 0;
-    u64 ftick = 0;
     size_t sweep_hand = 0;
-    size_t fsweep_hand = 0;
-  };
-  /// Per-device prefetch tags from the most recent completed session.
-  struct DeviceTags {
-    std::vector<u64> segment_keys;
-    std::vector<u64> frontier_keys;
-    u64 stamp = 0;  ///< insertion order, for oldest-tag eviction
   };
 
   Shard& shard_for(u64 key) const { return shards_[key & shard_mask_]; }
-  /// Touch a key in both tiers of its shard; returns entries found resident.
-  size_t touch_key(u64 key, bool frontier);
   /// Clock-sweep `shard` down to the byte budget without evicting the
-  /// protected fresh entry (`keep_slot`/`keep_fslot`). Sweeps the segment
-  /// tier, then the frontier tier; each scan is bounded by its slot count,
-  /// so the sweep terminates (and the budget invariant holds) even when one
-  /// tier alone cannot free enough. Caller holds the shard mutex. Returns
-  /// entries evicted.
-  u64 sweep_to_budget(Shard& shard, const Slot* keep_slot,
-                      const FrontierSlot* keep_fslot);
+  /// protected fresh entry `keep`. The scan visits each slot at most once,
+  /// so it terminates; since `keep` alone fits the budget, the budget holds
+  /// afterwards. Caller holds the shard mutex. Returns entries evicted.
+  u64 sweep_to_budget(Shard& shard, const Slot* keep);
 
   MemoOptions options_;
   size_t shard_mask_ = 0;
   size_t shard_budget_ = 0;
   mutable std::vector<Shard> shards_;
-
-  mutable std::mutex device_mu_;
-  std::unordered_map<u64, DeviceTags> device_tags_;
-  u64 device_stamp_ = 0;
-
-  /// Set-associative whole-chain fingerprint cache (chain_fp_lookup/store):
-  /// kChainFpSets sets x kChainFpWays ways with per-slot LRU ticks, laid
-  /// out set-major in one flat array. Direct mapping lost fingerprints to
-  /// same-set collisions at fleet scale; with 4 ways a set only starts
-  /// displacing live keys when >4 concurrently live chains alias one set,
-  /// and every displacement is counted (verify.memo.fingerprint.evicted).
-  struct ChainFpSlot {
-    u64 key = 0;
-    u64 fp = 0;
-    u64 tick = 0;  ///< LRU: bumped on hit/refresh under chain_fp_mu_
-    bool valid = false;
-  };
-  static constexpr size_t kChainFpSets = 64;
-  static constexpr size_t kChainFpWays = 4;
-  mutable std::mutex chain_fp_mu_;
-  mutable std::array<ChainFpSlot, kChainFpSets * kChainFpWays> chain_fp_slots_{};
-  mutable u64 chain_fp_tick_ = 0;
 
   mutable std::atomic<u64> hits_{0};
   mutable std::atomic<u64> misses_{0};
@@ -437,12 +251,6 @@ class MemoCache {
   std::atomic<u64> rejects_{0};
   std::atomic<u64> bytes_{0};
   std::atomic<u64> entries_{0};
-  mutable std::atomic<u64> frontier_hits_{0};
-  mutable std::atomic<u64> frontier_misses_{0};
-  std::atomic<u64> frontier_inserts_{0};
-  std::atomic<u64> frontier_entries_{0};
-  std::atomic<u64> prefetch_hits_{0};
-  std::atomic<u64> prefetch_warmed_{0};
 };
 
 }  // namespace raptrack::verify

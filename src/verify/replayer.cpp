@@ -298,35 +298,12 @@ u64 memo_key(Address pc, const MemoValuation& val, u64 policy_hash) {
   return h;
 }
 
-/// Amortization telemetry for the whole-chain evidence fingerprint: one
-/// `computed` per engine that hashed the streams itself, one `reused` per
-/// engine that found the shared slot already filled. tests/test_memo proves
-/// repeated verifications of one chain compute exactly once.
-struct FingerprintObs {
-  obs::Counter computed =
-      obs::registry().counter("verify.memo.fingerprint.computed");
-  obs::Counter reused =
-      obs::registry().counter("verify.memo.fingerprint.reused");
-
-  static FingerprintObs& get() {
-    static FingerprintObs metrics;
-    return metrics;
-  }
-};
-
 }  // namespace
 
-PathReplayer::PathReplayer(const Program& program, Address entry,
-                           ReplayMode mode)
-    : program_(&program), entry_(entry), mode_(mode) {}
-
 PathReplayer::PathReplayer(const Deployment& deployment)
-    : program_(&deployment.program()),
+    : index_(&deployment.index()),
       entry_(deployment.entry()),
-      mode_(deployment.mode()),
-      rap_(deployment.rap_manifest()),
-      traces_(deployment.traces_manifest()),
-      index_(&deployment.index()) {}
+      mode_(deployment.mode()) {}
 
 // ---------------------------------------------------------------------------
 // Replay engine with backtracking.
@@ -351,11 +328,7 @@ class ReplayEngine {
                const ReplayPolicy& policy, const ReplayInputs& inputs,
                u64 max_steps,
                const std::vector<trace::OracleEvent>* script = nullptr,
-               bool strict = false, MemoCache* memo = nullptr,
-               bool use_frontier = true,
-               std::vector<u64>* touched_segments = nullptr,
-               std::vector<u64>* touched_frontier = nullptr,
-               bool* chain_fp_valid = nullptr, u64* chain_fp_slot = nullptr)
+               bool strict = false, MemoCache* memo = nullptr)
       : index_(index),
         mode_(mode),
         policy_(policy),
@@ -363,12 +336,7 @@ class ReplayEngine {
         max_steps_(max_steps),
         script_(script),
         strict_(strict),
-        memo_(script == nullptr ? memo : nullptr),
-        use_frontier_(use_frontier),
-        touched_segments_(touched_segments),
-        touched_frontier_(touched_frontier),
-        chain_fp_valid_(chain_fp_valid),
-        chain_fp_slot_(chain_fp_slot) {
+        memo_(script == nullptr ? memo : nullptr) {
     pc_ = entry;
     if (memo_ != nullptr) {
       // Call-target-policy fingerprint for the memo key: the policy decides
@@ -386,18 +354,6 @@ class ReplayEngine {
 
   ReplayResult run();
 
-  /// Did this run consult shared frontier state in a way that steered the
-  /// search — a decision hit taken, or shared dead-branch knowledge the
-  /// local failure memo lacked? A *failing* influenced run must be re-run
-  /// with the frontier detached (see PathReplayer::replay): a true hit
-  /// guarantees completion, so an influenced failure implies either shared
-  /// failure bits pruning the search tree (changing which dead end is
-  /// reported first) or an astronomically unlikely fingerprint collision.
-  /// Either way the retry reproduces the unmemoized result byte-for-byte.
-  bool frontier_influenced() const {
-    return frontier_hit_taken_ || used_shared_failure_;
-  }
-
  private:
   /// Mutable cursor/valuation state captured at a checkpoint.
   struct Snapshot {
@@ -408,9 +364,8 @@ class ReplayEngine {
     size_t events_size, findings_size;
     /// Step/index counters are *path-local*: restored on backtrack so the
     /// final result counts only the accepted parse, independent of how much
-    /// dead-end exploration the search (or a frontier skip of it) performed.
+    /// dead-end exploration the search performed.
     u64 steps, index_hits, index_fallbacks;
-    size_t journal_size;   ///< frontier journal high-water mark to truncate to
     bool forced_decision;  ///< the alternative to take after restoring
     u64 state_hash;        ///< pre-decision state (for the failure memo)
   };
@@ -454,8 +409,7 @@ class ReplayEngine {
   /// step's own increments. Checkpoints must store these — not the live
   /// counters — so a backtrack that re-executes the ambiguous site counts
   /// its step (and decode) exactly once. Otherwise `steps` would depend on
-  /// how much searching happened, and the frontier memo (which skips
-  /// searches) would perturb the verification digest.
+  /// how much searching happened.
   u64 pre_step_steps_ = 0;
   u64 pre_step_index_hits_ = 0;
   u64 pre_step_index_fallbacks_ = 0;
@@ -491,10 +445,6 @@ class ReplayEngine {
     BranchPacket peek_pkt{};
     bool have_eos = false;  ///< a peek found the packet stream exhausted
     size_t eos_rel = 0;
-    /// Frontier-guarded decisions absorbed since the anchor: instead of
-    /// aborting the recording at a decision-hit, the segment carries one
-    /// guard per absorbed site and re-validates them all at splice time.
-    std::vector<SegmentGuard> guards;
   };
 
   /// Shared cache, or null when memoization is off (checker mode always).
@@ -508,160 +458,8 @@ class ReplayEngine {
   u32 memo_backoff_ = 0;
   u64 memo_resume_step_ = 0;
 
-  // -- frontier memo (resolved RAP-ambiguity decisions, see memo.hpp) -------
-  /// One ambiguous-site decision on the path being explored. Committed to
-  /// the shared cache only when the replay completes (the journal truncates
-  /// on backtrack, so committed entries all lie on the accepted parse).
-  struct JournalEntry {
-    FrontierEntry guards;
-    bool decision = false;
-    u64 steps_at = 0;
-    /// Decision came from a frontier hit: already resident in the shared
-    /// cache (the lookup refreshed its recency), so commit_journal skips the
-    /// redundant locked re-insert.
-    bool from_hit = false;
-  };
-
-  bool use_frontier_ = false;
-  std::vector<u64>* touched_segments_ = nullptr;
-  std::vector<u64>* touched_frontier_ = nullptr;
-  /// A frontier decision hit was taken: exploration after it is not
-  /// exhaustive under a (vanishingly unlikely) fingerprint collision, so
-  /// failure promotion stops for the rest of this engine.
-  bool frontier_hit_taken_ = false;
-  /// Shared dead-branch bits added knowledge the local failure memo lacked.
-  bool used_shared_failure_ = false;
-  std::vector<JournalEntry> journal_;
-  /// Whole-chain evidence fingerprint, computed lazily on the first
-  /// frontier consult (never on deterministic replays). Combined with the
-  /// exact cursor positions it pins the remaining evidence suffix of every
-  /// stream — strictly stronger than a per-suffix hash (two chains sharing
-  /// a tail no longer alias) at a fraction of the cost: one pass, no
-  /// per-stream suffix arrays. The PathReplayer owns a shared slot
-  /// (chain_fp_valid_/chain_fp_slot_) so the strict pass, lenient pass and
-  /// detached retries of one replay — and, seeded through
-  /// MemoCache::chain_fp_{lookup,store}, later verifications of the same
-  /// chain — all hash the streams at most once.
-  bool* chain_fp_valid_ = nullptr;
-  u64* chain_fp_slot_ = nullptr;
-  mutable std::optional<u64> chain_fp_local_;  ///< fallback when no slot
-  mutable bool chain_fp_counted_ = false;      ///< one obs count per engine
-  /// Frontier futility gate (the §14 backoff idea applied to the frontier
-  /// tier): consults that keep returning nothing actionable — misses, or
-  /// decision hits that never carried dead-branch knowledge — stop after
-  /// kFrontierProbeWindow in a row, bounding the per-replay frontier cost
-  /// on chains whose greedy parse never needs the search. Any backtrack or
-  /// any hit with failure bits proves the workload searches and re-arms
-  /// consulting for the rest of the engine.
-  u32 frontier_futile_streak_ = 0;
-  bool frontier_proven_ = false;
-
   static constexpr u64 kMaxBacktracks = 2'000'000;
   static constexpr size_t kMaxFailedStates = size_t{1} << 20;
-  static constexpr u32 kFrontierProbeWindow = 8;
-
-  bool frontier_active() const { return memo_ != nullptr && use_frontier_; }
-
-  /// Should this ambiguous site consult (and journal into) the frontier?
-  bool frontier_consult_ok() const {
-    return frontier_active() &&
-           (frontier_proven_ || backtracks_ > 0 ||
-            frontier_futile_streak_ < kFrontierProbeWindow);
-  }
-
-  u64 chain_fp() const {
-    if (chain_fp_slot_ != nullptr && *chain_fp_valid_) {
-      if (!chain_fp_counted_) {
-        chain_fp_counted_ = true;
-        if constexpr (obs::kEnabled) FingerprintObs::get().reused.inc();
-      }
-      return *chain_fp_slot_;
-    }
-    if (chain_fp_local_) return *chain_fp_local_;
-    u64 h = 0x517cc1b727220a95ull;
-    const auto mix = [&h](u64 v) {
-      h = (h ^ v) * 0x9e3779b97f4a7c15ull + 0x243f6a8885a308d3ull;
-    };
-    for (const auto& pkt : inputs_.packets) {
-      mix((static_cast<u64>(pkt.source_word()) << 32) | pkt.destination);
-    }
-    for (const u32 v : loop_stream()) mix(v);
-    for (const bool b : inputs_.traces_log.direction_bits) mix(b ? 2 : 1);
-    for (const u32 t : inputs_.traces_log.indirect_targets) mix(t);
-    if (chain_fp_slot_ != nullptr) {
-      *chain_fp_slot_ = h;
-      *chain_fp_valid_ = true;
-    } else {
-      chain_fp_local_ = h;
-    }
-    if (!chain_fp_counted_) {
-      chain_fp_counted_ = true;
-      if constexpr (obs::kEnabled) FingerprintObs::get().computed.inc();
-    }
-    return h;
-  }
-
-  /// Frontier guards for the *current* engine state: total-state fingerprint
-  /// (pc, valuation, policy, strictness, full shadow stack, and the whole
-  /// chain's evidence fingerprint pinned at the exact cursor positions —
-  /// equivalently, the full remaining suffix of every stream — plus exact
-  /// remaining counts).
-  FrontierEntry frontier_guards() const {
-    FrontierEntry e;
-    e.pc = pc_;
-    e.val = pack_valuation(val_);
-    e.policy_hash = policy_hash_;
-    e.strict = strict_;
-    u64 sh = 0x9216d5d98979fb1bull;
-    const auto mix = [](u64& h, u64 v) {
-      h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    };
-    mix(sh, shadow_stack_.size());
-    for (const Address a : shadow_stack_) mix(sh, a);
-    e.stack_hash = sh;
-    u64 fp = 0x452821e638d01377ull;
-    mix(fp, chain_fp());
-    mix(fp, packet_cursor_);
-    mix(fp, loop_cursor_);
-    mix(fp, bit_cursor_);
-    mix(fp, target_cursor_);
-    e.evidence_fp = fp;
-    e.packet_rem = static_cast<u32>(inputs_.packets.size() - packet_cursor_);
-    e.loop_rem = static_cast<u32>(loop_stream().size() - loop_cursor_);
-    e.bit_rem = static_cast<u32>(inputs_.traces_log.direction_bits.size() -
-                                 bit_cursor_);
-    e.target_rem = static_cast<u32>(inputs_.traces_log.indirect_targets.size() -
-                                    target_cursor_);
-    return e;
-  }
-
-  /// Journal a decision taken at the current (ambiguous) site, for promotion
-  /// to the shared frontier if this path turns out to be the accepted parse.
-  /// `guards` lets callers that already computed the frontier key for this
-  /// exact state (the lookup path) avoid hashing it a second time.
-  void journal_decision(bool decision, const FrontierEntry* guards = nullptr) {
-    if (!frontier_consult_ok()) return;
-    journal_.push_back({guards != nullptr ? *guards : frontier_guards(),
-                        decision, result_.steps});
-  }
-
-  /// The path completed: every journaled decision lies on the accepted
-  /// parse. Promote each to the shared frontier with the steps the parse
-  /// still needed from that site (budget guard for future skips).
-  void commit_journal() {
-    if (!frontier_active()) return;
-    for (JournalEntry& entry : journal_) {
-      if (entry.from_hit) continue;  // already resident, recency refreshed
-      entry.guards.has_decision = true;
-      entry.guards.decision = entry.decision;
-      entry.guards.failed_mask = 0;
-      entry.guards.steps_to_complete = result_.steps - entry.steps_at;
-      memo_->frontier_insert(entry.guards);
-      if (touched_frontier_ != nullptr) {
-        touched_frontier_->push_back(entry.guards.key_hash());
-      }
-    }
-  }
 
   /// Hash of the complete decision-relevant engine state.
   u64 state_hash() const {
@@ -834,8 +632,8 @@ class ReplayEngine {
                             bit_cursor_, target_cursor_, loop_cursor_,
                             result_.events.size(), result_.findings.size(),
                             pre_step_steps_, pre_step_index_hits_,
-                            pre_step_index_fallbacks_, journal_.size(),
-                            alternative, state_hash()});
+                            pre_step_index_fallbacks_, alternative,
+                            state_hash()});
   }
 
   /// Restore the most recent checkpoint and arm its alternative decision.
@@ -866,25 +664,8 @@ class ReplayEngine {
     result_.steps = snap.steps;
     result_.index_hits = snap.index_hits;
     result_.index_fallbacks = snap.index_fallbacks;
-    journal_.resize(snap.journal_size);
     forced_decision_ = snap.forced_decision;
     pending_failure_.clear();
-    // The restored state IS the checkpoint's pre-decision state, so this is
-    // the one place the frontier key for "greedy from here is a dead branch"
-    // can be computed exactly. Promote it to the shared cache — unless a
-    // frontier hit was taken earlier in this engine (under a collision the
-    // exploration below the hit would not have been exhaustive).
-    if (frontier_active() && !frontier_hit_taken_) {
-      FrontierEntry promo = frontier_guards();
-      promo.failed_mask = failed_decision ? u8{2} : u8{1};
-      memo_->frontier_insert(promo);
-      if (touched_frontier_ != nullptr) {
-        touched_frontier_->push_back(promo.key_hash());
-      }
-    }
-    // Search pressure exists on this chain: keep (or resume) consulting the
-    // frontier for the rest of the engine regardless of the futility gate.
-    frontier_proven_ = true;
     return true;
   }
 
@@ -899,10 +680,6 @@ class ReplayEngine {
     if (forced_decision_) {
       const bool decision = *forced_decision_;
       forced_decision_ = std::nullopt;
-      // Re-executing a backtracked ambiguous site with the alternative: this
-      // decision is on the path now being explored, so journal it (the state
-      // here is identical to the checkpoint's pre-decision state).
-      journal_decision(decision);
       return decision;
     }
     switch (mode_) {
@@ -929,152 +706,21 @@ class ReplayEngine {
           // Ambiguous: the packet may belong to a later dynamic instance of
           // this site. Greedy = attribute it to now; checkpoint the
           // alternative. The failure memo skips decisions already proven
-          // futile from an identical state. The decision depends on search
-          // history (failed_states_), which is outside a memo segment's
-          // footprint — recording must abort on the failure-memo-steered
-          // exits below. Two exits instead absorb the decided branch under
-          // a splice-time-revalidated guard: a frontier decision-hit, and
-          // the clean checkpoint commit (whose guard only becomes
-          // spliceable once this engine completes and promotes the
-          // journaled decision).
+          // futile from an identical state. Every exit depends on search
+          // history (failed_states_, the checkpoint), which is outside a
+          // memo segment's footprint, so recording aborts here.
+          rec_.active = false;
           const u64 here = state_hash();
-          const u64 greedy_key = here ^ (logged_direction ? 1u : 0u);
-          const u64 alt_key = here ^ (logged_direction ? 0u : 1u);
-          bool greedy_failed = failed_states_.count(greedy_key) != 0;
-          bool alt_failed = failed_states_.count(alt_key) != 0;
-          FrontierEntry guards;
-          bool have_guards = false;
-          if (frontier_consult_ok()) {
-            // Consult the shared frontier before saving a checkpoint: a
-            // recorded known-good decision from this exact total state skips
-            // the search entirely, and shared dead-branch bits prune
-            // directions some other replay already proved futile.
-            guards = frontier_guards();
-            have_guards = true;
-            FrontierEntry known;
-            if (memo_->frontier_lookup(guards, &known)) {
-              // A resident entry that carries dead-branch bits came from a
-              // replay that actually searched here: the frontier earns its
-              // keep on this workload. Decision-only entries just skip a
-              // checkpoint save — cheap, but not worth consulting forever
-              // on chains whose greedy parse never backtracks.
-              if (known.failed_mask != 0) {
-                frontier_proven_ = true;
-                frontier_futile_streak_ = 0;
-              } else {
-                ++frontier_futile_streak_;
-              }
-              if (known.has_decision &&
-                  result_.steps + known.steps_to_complete <= max_steps_) {
-                // Skip straight to the known-good decision — no checkpoint,
-                // no speculative stretch, so segment recording resumes at
-                // the next anchor instead of staying backed off.
-                frontier_hit_taken_ = true;
-                memo_backoff_ = 0;
-                memo_resume_step_ = 0;
-                journal_.push_back({guards, known.decision, result_.steps,
-                                    /*from_hit=*/true});
-                if (touched_frontier_ != nullptr) {
-                  touched_frontier_->push_back(guards.key_hash());
-                }
-                if (rec_.active) {
-                  if (memo_->options().guarded_segments) {
-                    // Absorb the decided branch: the segment stays valid
-                    // only while an equivalent frontier entry still covers
-                    // this exact state (re-validated at splice time), so
-                    // record the guard instead of aborting.
-                    SegmentGuard g;
-                    g.pc = pc_;
-                    g.val = guards.val;
-                    g.d_packets =
-                        static_cast<u32>(packet_cursor_ - rec_.entry_packets);
-                    g.d_loops =
-                        static_cast<u32>(loop_cursor_ - rec_.entry_loops);
-                    g.d_bits = static_cast<u32>(bit_cursor_ - rec_.entry_bits);
-                    g.d_targets =
-                        static_cast<u32>(target_cursor_ - rec_.entry_targets);
-                    g.pops = static_cast<u32>(rec_.popped.size());
-                    g.suffix.assign(shadow_stack_.begin() + rec_.min_stack,
-                                    shadow_stack_.end());
-                    g.decision = known.decision;
-                    g.failed_mask = known.failed_mask;
-                    g.steps_delta = result_.steps - rec_.entry_steps;
-                    rec_.guards.push_back(std::move(g));
-                  } else {
-                    rec_.active = false;
-                  }
-                }
-                return known.decision;
-              }
-              // failed_mask bit 0 = decision `false` is a dead branch,
-              // bit 1 = decision `true` is.
-              const bool shared_greedy =
-                  ((known.failed_mask >> (logged_direction ? 1 : 0)) & 1) != 0;
-              const bool shared_alt =
-                  ((known.failed_mask >> (logged_direction ? 0 : 1)) & 1) != 0;
-              if ((shared_greedy && !greedy_failed) ||
-                  (shared_alt && !alt_failed)) {
-                used_shared_failure_ = true;
-              }
-              greedy_failed = greedy_failed || shared_greedy;
-              alt_failed = alt_failed || shared_alt;
-            } else {
-              ++frontier_futile_streak_;
-            }
-          }
-          // Exits steered by failure memos (fail, forced-greedy) depend on
-          // search history, so recording aborts as before.
+          const bool greedy_failed =
+              failed_states_.count(here ^ (logged_direction ? 1u : 0u)) != 0;
+          const bool alt_failed =
+              failed_states_.count(here ^ (logged_direction ? 0u : 1u)) != 0;
           if (greedy_failed && alt_failed) {
-            rec_.active = false;
             fail("no consistent parse from this state");
             return std::nullopt;
           }
-          if (greedy_failed) {
-            rec_.active = false;
-            journal_decision(!logged_direction,
-                            have_guards ? &guards : nullptr);
-            return !logged_direction;
-          }
-          // Clean checkpoint commit (greedy not known-failed): absorb the
-          // decision into the in-flight segment under a guard, exactly as
-          // the frontier-hit path does — no prior frontier warm-up needed.
-          // The guard demands a resident frontier entry with this same
-          // decision at splice time; such an entry is only ever promoted
-          // from a journal that survived to completion (backtracking
-          // truncates it), so if this greedy stretch later fails, the
-          // stored segment is merely unspliceable — never wrong. The
-          // checkpoint itself still aborts recording across save/restore
-          // (save_checkpoint clears rec_.active; re-arm after).
-          const bool record_guard = rec_.active && have_guards &&
-                                    memo_->options().guarded_segments;
-          SegmentGuard commit_guard;
-          if (record_guard) {
-            commit_guard.pc = pc_;
-            commit_guard.val = guards.val;
-            commit_guard.d_packets =
-                static_cast<u32>(packet_cursor_ - rec_.entry_packets);
-            commit_guard.d_loops =
-                static_cast<u32>(loop_cursor_ - rec_.entry_loops);
-            commit_guard.d_bits =
-                static_cast<u32>(bit_cursor_ - rec_.entry_bits);
-            commit_guard.d_targets =
-                static_cast<u32>(target_cursor_ - rec_.entry_targets);
-            commit_guard.pops = static_cast<u32>(rec_.popped.size());
-            commit_guard.suffix.assign(shadow_stack_.begin() + rec_.min_stack,
-                                       shadow_stack_.end());
-            commit_guard.decision = logged_direction;
-            // No dead branch was proven at commit time; splice only needs
-            // an entry that (at least) recorded this decision.
-            commit_guard.failed_mask = 0;
-            commit_guard.steps_delta = result_.steps - rec_.entry_steps;
-          }
-          rec_.active = false;
+          if (greedy_failed) return !logged_direction;
           if (!alt_failed) save_checkpoint(/*alternative=*/!logged_direction);
-          journal_decision(logged_direction, have_guards ? &guards : nullptr);
-          if (record_guard) {
-            rec_.active = true;
-            rec_.guards.push_back(std::move(commit_guard));
-          }
           return logged_direction;
         }
         return evaluate_shadow(in.cond, val_.flags);
@@ -1165,7 +811,6 @@ class ReplayEngine {
     rec_.popped.clear();
     rec_.have_peek = false;
     rec_.have_eos = false;
-    rec_.guards.clear();
   }
 
   /// Record the one-packet lookahead a conditional decision is about to
@@ -1228,19 +873,13 @@ class ReplayEngine {
     seg->steps = steps_delta;
     seg->index_hits = result_.index_hits - rec_.entry_index_hits;
     seg->index_fallbacks = result_.index_fallbacks - rec_.entry_index_fallbacks;
-    seg->guards = std::move(rec_.guards);
     const u64 key = memo_key(seg->entry_pc, seg->entry_val, policy_hash_);
     memo_->insert(key, std::move(seg));
-    if (touched_segments_ != nullptr) touched_segments_->push_back(key);
     return true;
   }
 
   /// Full entry-guard validation of a candidate against the live state.
-  /// For frontier-guarded segments, `guard_keys` (required non-null on the
-  /// splice path) collects the live frontier key of every validated guard so
-  /// the caller can tag them as touched.
-  bool memo_matches(const MemoSegment& seg, const MemoValuation& val,
-                    std::vector<u64>* guard_keys) const {
+  bool memo_matches(const MemoSegment& seg, const MemoValuation& val) const {
     if (seg.entry_pc != pc_ || seg.policy_hash != policy_hash_ ||
         !(seg.entry_val == val)) {
       return false;
@@ -1301,66 +940,8 @@ class ReplayEngine {
                    : tgt_rem < seg.indirect_targets.size()) {
       return false;
     }
-    if (!std::equal(seg.indirect_targets.begin(), seg.indirect_targets.end(),
-                    targets.begin() + target_cursor_)) {
-      return false;
-    }
-    // Frontier guards: every decision the recorded stretch absorbed must
-    // still be covered by an equivalent resident frontier entry, rebuilt
-    // against the LIVE state (stack prefix + recorded suffix, live cursors
-    // plus the recorded deltas — the window checks above guarantee those
-    // land inside the streams). Splicing across a guard is equivalent to
-    // taking the same frontier hit live, so detached retries must never
-    // splice a guarded segment.
-    if (!seg.guards.empty()) {
-      if (!frontier_active() || !memo_->options().guarded_segments) {
-        return false;
-      }
-      const auto mix = [](u64& h, u64 v) {
-        h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-      };
-      for (const SegmentGuard& g : seg.guards) {
-        FrontierEntry live;
-        live.pc = g.pc;
-        live.val = g.val;
-        live.policy_hash = policy_hash_;
-        live.strict = strict_;
-        // g.pops <= seg.popped.size() <= shadow_stack_.size() (prefix check
-        // above), so `keep` cannot underflow.
-        const size_t keep = shadow_stack_.size() - g.pops;
-        u64 sh = 0x9216d5d98979fb1bull;
-        mix(sh, keep + g.suffix.size());
-        for (size_t i = 0; i < keep; ++i) mix(sh, shadow_stack_[i]);
-        for (const Address a : g.suffix) mix(sh, a);
-        live.stack_hash = sh;
-        u64 fp = 0x452821e638d01377ull;
-        mix(fp, chain_fp());
-        mix(fp, packet_cursor_ + g.d_packets);
-        mix(fp, loop_cursor_ + g.d_loops);
-        mix(fp, bit_cursor_ + g.d_bits);
-        mix(fp, target_cursor_ + g.d_targets);
-        live.evidence_fp = fp;
-        live.packet_rem = static_cast<u32>(inputs_.packets.size() -
-                                           (packet_cursor_ + g.d_packets));
-        live.loop_rem =
-            static_cast<u32>(loop_stream().size() - (loop_cursor_ + g.d_loops));
-        live.bit_rem = static_cast<u32>(
-            inputs_.traces_log.direction_bits.size() - (bit_cursor_ + g.d_bits));
-        live.target_rem =
-            static_cast<u32>(inputs_.traces_log.indirect_targets.size() -
-                             (target_cursor_ + g.d_targets));
-        FrontierEntry known;
-        if (!memo_->frontier_lookup(live, &known)) return false;
-        if (!known.has_decision || known.decision != g.decision) return false;
-        if ((known.failed_mask & g.failed_mask) != g.failed_mask) return false;
-        if (result_.steps + g.steps_delta + known.steps_to_complete >
-            max_steps_) {
-          return false;
-        }
-        if (guard_keys != nullptr) guard_keys->push_back(live.key_hash());
-      }
-    }
-    return true;
+    return std::equal(seg.indirect_targets.begin(), seg.indirect_targets.end(),
+                      targets.begin() + target_cursor_);
   }
 
   /// Splice a matched segment: exactly the state live execution of the
@@ -1389,25 +970,11 @@ class ReplayEngine {
     MemoCache::Handle candidates[MemoCache::kLookupWidth];
     const size_t count =
         memo_->lookup(key, candidates, MemoCache::kLookupWidth);
-    std::vector<u64> guard_keys;
     for (size_t i = 0; i < count; ++i) {
-      guard_keys.clear();
-      if (memo_matches(*candidates[i], here, &guard_keys)) {
+      if (memo_matches(*candidates[i], here)) {
         memo_apply(*candidates[i]);
         ++result_.memo_hits;
         memo_->note_hit();
-        if (touched_segments_ != nullptr) touched_segments_->push_back(key);
-        if (!candidates[i]->guards.empty()) {
-          // Splicing across frontier-guarded decisions is equivalent to
-          // taking those decision hits live: exploration beyond them is not
-          // exhaustive under a fingerprint collision, so the rerun-detached
-          // rule applies to this pass too.
-          frontier_hit_taken_ = true;
-          if (touched_frontier_ != nullptr) {
-            touched_frontier_->insert(touched_frontier_->end(),
-                                      guard_keys.begin(), guard_keys.end());
-          }
-        }
         return true;
       }
     }
@@ -1614,7 +1181,6 @@ ReplayResult ReplayEngine::run() {
         // clean-halt conditions, so the replay is complete.
         result_.complete = true;
         result_.backtracks = backtracks_;
-        commit_journal();
         return result_;
       }
     }
@@ -1627,7 +1193,6 @@ ReplayResult ReplayEngine::run() {
       if (memo_ != nullptr) memo_close(/*halted=*/true);
       result_.complete = true;
       result_.backtracks = backtracks_;
-      commit_journal();
       return result_;
     }
     if (!pending_failure_.empty() && !backtrack()) break;
@@ -1644,97 +1209,26 @@ ReplayResult ReplayEngine::run() {
 }  // namespace
 
 ReplayResult PathReplayer::replay(const ReplayInputs& inputs, u64 max_steps) {
-  if (mode_ == ReplayMode::Rap && rap_ == nullptr) {
-    ReplayResult result;
-    result.failure = "rap manifest not set";
-    return result;
-  }
-  if (mode_ == ReplayMode::Traces && traces_ == nullptr) {
-    ReplayResult result;
-    result.failure = "traces manifest not set";
-    return result;
-  }
-  // Legacy (non-Deployment) construction: build the index once per call —
-  // both passes below share it, so even this path decodes each instruction
-  // at most once instead of once per replay step.
-  std::optional<ReplayIndex> local_index;
-  const ReplayIndex* index = index_;
-  if (index == nullptr) {
-    local_index.emplace(*program_, mode_, rap_, traces_);
-    index = &*local_index;
-  }
-  touched_segment_keys_.clear();
-  touched_frontier_keys_.clear();
-  // Whole-chain fingerprint amortization: a seeded value (chain_fp_lookup
-  // hit for this exact chain) survives into this call; otherwise any stale
-  // value from a previous chain is invalidated and the first engine that
-  // needs the fingerprint recomputes it once for every pass and retry.
-  if (!chain_fp_seeded_) chain_fp_valid_ = false;
-  chain_fp_seeded_ = false;
-  // One search pass (strict or lenient). A pass that fails *after being
-  // steered by shared frontier state* is re-run with the frontier detached:
-  // a genuine frontier hit guarantees completion (the recorded decision led
-  // to a full parse from an identical total state), so an influenced failure
-  // means shared dead-branch pruning changed which dead end surfaces first
-  // (or a fingerprint collision occurred) — the retry reproduces the
-  // unmemoized failure byte-for-byte. Completing passes never pay this; the
-  // sub-path memo stays attached throughout (its on/off equivalence is
-  // unconditional).
-  const auto run_pass = [&](bool strict) {
-    ReplayEngine engine(*index, entry_, mode_, policy_, inputs, max_steps,
-                        nullptr, strict, memo_, use_frontier_,
-                        &touched_segment_keys_, &touched_frontier_keys_,
-                        &chain_fp_valid_, &chain_fp_);
-    ReplayResult result = engine.run();
-    if (!result.complete && engine.frontier_influenced()) {
-      ReplayEngine retry(*index, entry_, mode_, policy_, inputs, max_steps,
-                         nullptr, strict, memo_, /*use_frontier=*/false,
-                         &touched_segment_keys_, &touched_frontier_keys_,
-                         &chain_fp_valid_, &chain_fp_);
-      result = retry.run();
-    }
-    return result;
-  };
   // Pass 1 (strict): search for a finding-free parse — a benign execution
   // consistent with the evidence. Only when none exists does the lenient
   // pass attribute findings (the verifier accuses only when every parse of
-  // the evidence is malicious).
-  ReplayResult strict_result = run_pass(/*strict=*/true);
+  // the evidence is malicious). Both passes share the sub-path memo: its
+  // segments are finding-free, so they behave identically in either.
+  ReplayResult strict_result =
+      ReplayEngine(*index_, entry_, mode_, policy_, inputs, max_steps, nullptr,
+                   /*strict=*/true, memo_)
+          .run();
   if (strict_result.complete) return strict_result;
-  return run_pass(/*strict=*/false);
-}
-
-void PathReplayer::seed_chain_fingerprint(u64 fp) {
-  chain_fp_ = fp;
-  chain_fp_valid_ = true;
-  chain_fp_seeded_ = true;
-}
-
-std::optional<u64> PathReplayer::chain_fingerprint() const {
-  return chain_fp_valid_ ? std::optional<u64>(chain_fp_) : std::nullopt;
+  return ReplayEngine(*index_, entry_, mode_, policy_, inputs, max_steps,
+                      nullptr, /*strict=*/false, memo_)
+      .run();
 }
 
 ReplayResult PathReplayer::check_path(
     const std::vector<trace::OracleEvent>& path, const ReplayInputs& inputs,
     u64 max_steps) {
-  if (mode_ == ReplayMode::Rap && rap_ == nullptr) {
-    ReplayResult result;
-    result.failure = "rap manifest not set";
-    return result;
-  }
-  if (mode_ == ReplayMode::Traces && traces_ == nullptr) {
-    ReplayResult result;
-    result.failure = "traces manifest not set";
-    return result;
-  }
-  std::optional<ReplayIndex> local_index;
-  const ReplayIndex* index = index_;
-  if (index == nullptr) {
-    local_index.emplace(*program_, mode_, rap_, traces_);
-    index = &*local_index;
-  }
-  ReplayEngine engine(*index, entry_, mode_, policy_, inputs, max_steps, &path);
-  return engine.run();
+  return ReplayEngine(*index_, entry_, mode_, policy_, inputs, max_steps, &path)
+      .run();
 }
 
 }  // namespace raptrack::verify

@@ -26,7 +26,6 @@
 // the Verifier visibility into the malicious path (§II-D).
 #pragma once
 
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -73,9 +72,9 @@ struct ReplayResult {
   u64 memo_hits = 0;
   u64 memo_misses = 0;
   /// Backtracking-search telemetry: checkpoints restored during the parse
-  /// search. Depends on shared frontier-cache warmth (a frontier hit skips
-  /// the exploration that would have backtracked), so — like the memo
-  /// counters — excluded from verification_digest.
+  /// search. Deterministic for a given chain — no shared cache state steers
+  /// the search (spliced segments never span a checkpoint) — but not part of
+  /// the verdict, so verification_digest leaves it out.
   u64 backtracks = 0;
 
   bool clean() const { return complete && findings.empty(); }
@@ -93,17 +92,11 @@ class ReplayIndex;
 
 class PathReplayer {
  public:
-  PathReplayer(const Program& program, Address entry, ReplayMode mode);
   /// Replay against a prebuilt deployment cache: program, manifests, entry
   /// and the precomputed ReplayIndex all come from `deployment`, which must
-  /// outlive the replayer. This is the service fast path — the legacy
-  /// constructor above rebuilds the index on every replay()/check_path().
+  /// outlive the replayer.
   explicit PathReplayer(const Deployment& deployment);
 
-  void set_rap_manifest(const rewrite::Manifest* manifest) { rap_ = manifest; }
-  void set_traces_manifest(const instr::TracesManifest* manifest) {
-    traces_ = manifest;
-  }
   void set_policy(ReplayPolicy policy) { policy_ = std::move(policy); }
   /// Attach a verified sub-path cache (normally the Deployment's). replay()
   /// then splices previously-verified segments instead of re-simulating
@@ -111,33 +104,6 @@ class PathReplayer {
   /// bit-identical either way (tests/test_memo enforces this). check_path()
   /// never consults the cache — the checker must walk every instruction.
   void set_memo(MemoCache* memo) { memo_ = memo; }
-  /// Enable/disable the frontier memo tier (resolved RAP-ambiguity
-  /// decisions) on the attached cache. On by default; only meaningful with
-  /// set_memo. Off restores PR-7 behavior: futility backoff alone, every
-  /// ambiguity re-searched. Either way results are bit-identical (a failing
-  /// frontier-influenced pass re-runs with the frontier detached).
-  void set_frontier(bool enabled) { use_frontier_ = enabled; }
-
-  /// Seed the whole-chain evidence fingerprint for the next replay() call
-  /// (e.g. from MemoCache::chain_fp_lookup when the identical chain was
-  /// verified before): every engine of that replay then reuses the value
-  /// instead of hashing all four evidence streams. Consumed by the next
-  /// replay() only — an unseeded replay() always recomputes lazily.
-  void seed_chain_fingerprint(u64 fp);
-  /// Fingerprint computed (or reused) by the most recent replay(), if any
-  /// engine needed it. Feed it back via MemoCache::chain_fp_store so farm
-  /// retries of the same chain skip the hash pass entirely.
-  std::optional<u64> chain_fingerprint() const;
-
-  /// Cache keys the most recent replay() touched (hits and inserts), for
-  /// cross-session prefetch tagging (MemoCache::note_session). Valid until
-  /// the next replay() call.
-  const std::vector<u64>& touched_segment_keys() const {
-    return touched_segment_keys_;
-  }
-  const std::vector<u64>& touched_frontier_keys() const {
-    return touched_frontier_keys_;
-  }
 
   ReplayResult replay(const ReplayInputs& inputs, u64 max_steps = 100'000'000);
 
@@ -150,25 +116,10 @@ class PathReplayer {
                           u64 max_steps = 100'000'000);
 
  private:
-  const Program* program_;
+  const ReplayIndex* index_;
   Address entry_;
   ReplayMode mode_;
-  const rewrite::Manifest* rap_ = nullptr;
-  const instr::TracesManifest* traces_ = nullptr;
-  /// Shared precomputed index (Deployment constructor only); when null, a
-  /// local index is built per replay()/check_path() call.
-  const ReplayIndex* index_ = nullptr;
   MemoCache* memo_ = nullptr;
-  bool use_frontier_ = true;
-  std::vector<u64> touched_segment_keys_;
-  std::vector<u64> touched_frontier_keys_;
-  /// Whole-chain evidence fingerprint shared across one replay()'s engines
-  /// (strict pass, lenient pass, detached retries): the first engine that
-  /// consults the frontier computes it once; the rest reuse it. Engines run
-  /// sequentially within replay(), so plain members suffice.
-  bool chain_fp_valid_ = false;
-  bool chain_fp_seeded_ = false;
-  u64 chain_fp_ = 0;
   ReplayPolicy policy_;
 };
 

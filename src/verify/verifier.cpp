@@ -127,20 +127,11 @@ cfa::Challenge Verifier::fresh_challenge() {
     }
   }
   sessions_.issue(0, chal);
-  // Cross-session prefetch: a challenge means a verification is imminent —
-  // re-touch this device's tagged cache entries so tick-LRU keeps them
-  // resident through the replay (the single-device facade is device 0).
-  if (deployment_ && config_.use_memo && kMemoEnabled) {
-    deployment_->memo().prefetch(0);
-  }
   return chal;
 }
 
 void Verifier::adopt_challenge(const cfa::Challenge& chal) {
   sessions_.issue(0, chal);
-  if (deployment_ && config_.use_memo && kMemoEnabled) {
-    deployment_->memo().prefetch(0);
-  }
 }
 
 namespace {
@@ -460,42 +451,13 @@ VerificationResult verify_report_chain(
   // (6) Lossless path reconstruction + (7) attack policies.
   PathReplayer replayer(deployment);
   replayer.set_policy(config.policy);
-  const bool memo_attached = config.use_memo && kMemoEnabled;
-  if (memo_attached) replayer.set_memo(&deployment.memo());
-  replayer.set_frontier(config.use_frontier);
-  // Whole-chain fingerprint amortization across *calls*: keyed on the
-  // challenge and the authenticated report MACs — which cover every byte the
-  // fingerprint hashes — so a retransmitted or farm-retried chain seeds the
-  // fingerprint instead of re-hashing all four evidence streams. A 64-bit
-  // key collision is the same risk class as the fingerprint collision the
-  // frontier already accepts, and the rerun-detached rule covers both.
-  u64 fp_key = 0;
-  if (memo_attached) {
-    u64 h = 0x6a09e667f3bcc908ull;
-    const auto mix = [&h](u64 v) {
-      h = (h ^ v) * 0x9e3779b97f4a7c15ull + 0x243f6a8885a308d3ull;
-    };
-    for (const u8 b : chal) mix(b);
-    for (const auto* report : usable) {
-      for (const u8 b : report->mac) mix(b);
-    }
-    fp_key = h;
-    u64 fp = 0;
-    if (deployment.memo().chain_fp_lookup(fp_key, &fp)) {
-      replayer.seed_chain_fingerprint(fp);
-    }
-  }
+  if (config.use_memo && kMemoEnabled) replayer.set_memo(&deployment.memo());
   try {
     auto span = cobs.phase("replay");
     result.replay = replayer.replay(inputs);
   } catch (const Error& e) {
     consume_challenge();
     return reject(std::string("replay aborted: ") + e.what());
-  }
-  if (memo_attached) {
-    if (const auto fp = replayer.chain_fingerprint()) {
-      deployment.memo().chain_fp_store(fp_key, *fp);
-    }
   }
   result.inputs = std::move(inputs);
 
@@ -513,13 +475,6 @@ VerificationResult verify_report_chain(
     }
     consume_challenge();
     result.verdict = Verdict::Accept;
-    // Chain completion: tag the cache entries this session touched with the
-    // device id, so the next challenge for this device can pre-touch them
-    // (cross-session prefetch — tick-LRU then keeps them resident).
-    if (memo_attached) {
-      deployment.memo().note_session(device, replayer.touched_segment_keys(),
-                                     replayer.touched_frontier_keys());
-    }
     return result;
   }
 

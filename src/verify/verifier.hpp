@@ -140,11 +140,6 @@ class Verifier {
   /// and the differential tests run through this.
   void set_memo(bool enabled) { config_.use_memo = enabled; }
 
-  /// Toggle the frontier memo tier (resolved RAP-ambiguity decisions) on
-  /// top of the sub-path cache. The {memo, memo+frontier} ablation legs of
-  /// the benches and the frontier differential tests run through this.
-  void set_frontier(bool enabled) { config_.use_frontier = enabled; }
-
   const VerifyConfig& config() const { return config_; }
 
   /// Issue a fresh challenge (recorded for replay-detection).

@@ -38,9 +38,9 @@ inline ::testing::AssertionResult rap_lossless_up_to_attribution(
   }
 
   // ... and the true path must itself be an accepted parse of the evidence.
-  verify::PathReplayer checker(program, entry, verify::ReplayMode::Rap);
-  checker.set_rap_manifest(&manifest);
-  const auto checked = checker.check_path(oracle, result.inputs);
+  const auto deployment = verify::Deployment::rap(program, manifest, entry);
+  const auto checked =
+      verify::PathReplayer(*deployment).check_path(oracle, result.inputs);
   if (!checked.complete) {
     return ::testing::AssertionFailure()
            << "oracle path is not consistent with the evidence: "

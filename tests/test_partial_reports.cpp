@@ -119,9 +119,9 @@ TEST(PartialReports, MtbWrapWithoutWatermarkLosesEvidence) {
   ASSERT_EQ(machine.run(10'000'000), cpu::HaltReason::Halted);
   ASSERT_TRUE(machine.mtb().wrapped());
 
-  verify::PathReplayer replayer(prepared.rap.program, prepared.built.entry,
-                                verify::ReplayMode::Rap);
-  replayer.set_rap_manifest(&prepared.rap.manifest);
+  const auto deployment = verify::Deployment::rap(
+      prepared.rap.program, prepared.rap.manifest, prepared.built.entry);
+  verify::PathReplayer replayer(*deployment);
   verify::ReplayInputs inputs;
   inputs.packets = machine.mtb().read_log();
   const auto result = replayer.replay(inputs);

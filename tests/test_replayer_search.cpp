@@ -9,7 +9,7 @@
 #include "gen_corpus.hpp"
 #include "rewrite/rap_rewriter.hpp"
 #include "sim/machine.hpp"
-#include "verify/replayer.hpp"
+#include "verify/deployment.hpp"
 
 namespace raptrack::verify {
 namespace {
@@ -59,6 +59,12 @@ RapRun run_rap(const Built& b, u32 r2_seed = 0) {
   return out;
 }
 
+std::shared_ptr<const Deployment> rap_deployment(const Built& b,
+                                                 const RapRun& run) {
+  return Deployment::rap(run.rewritten.program, run.rewritten.manifest,
+                         b.entry);
+}
+
 // The canonical silent-rejoin program: a leaf helper with an if/else whose
 // arms both end in BX LR, called twice back to back. The CF_Log cannot
 // attribute the single taken-packet to a specific call.
@@ -89,8 +95,8 @@ TEST(ReplaySearch, SilentRejoinProducesAConsistentBenignParse) {
   // Exactly one packet from the bgt slot (the second call took it).
   ASSERT_EQ(run.inputs.packets.size(), 1u);
 
-  PathReplayer replayer(run.rewritten.program, b.entry, ReplayMode::Rap);
-  replayer.set_rap_manifest(&run.rewritten.manifest);
+  const auto deployment = rap_deployment(b, run);
+  PathReplayer replayer(*deployment);
   const ReplayResult result = replayer.replay(run.inputs);
   EXPECT_TRUE(result.complete) << result.failure;
   EXPECT_TRUE(result.findings.empty());
@@ -110,8 +116,8 @@ TEST(ReplaySearch, CheckerModeRejectsAWrongScript) {
   // Corrupt the script: claim the program halted after the first call.
   auto wrong = run.oracle;
   wrong.resize(wrong.size() / 2);
-  PathReplayer replayer(run.rewritten.program, b.entry, ReplayMode::Rap);
-  replayer.set_rap_manifest(&run.rewritten.manifest);
+  const auto deployment = rap_deployment(b, run);
+  PathReplayer replayer(*deployment);
   const ReplayResult checked = replayer.check_path(wrong, run.inputs);
   EXPECT_FALSE(checked.complete);
 }
@@ -147,8 +153,8 @@ __code_end:
 
   // The reconstruction is exact (no ambiguity left to search through).
   const RapRun run = run_rap(b);
-  PathReplayer replayer(run.rewritten.program, b.entry, ReplayMode::Rap);
-  replayer.set_rap_manifest(&run.rewritten.manifest);
+  const auto deployment = rap_deployment(b, run);
+  PathReplayer replayer(*deployment);
   const ReplayResult result = replayer.replay(run.inputs);
   EXPECT_TRUE(result.complete) << result.failure;
   EXPECT_EQ(result.events, run.oracle);
@@ -182,8 +188,8 @@ base:
 __code_end:
   )");
   const RapRun run = run_rap(b);
-  PathReplayer replayer(run.rewritten.program, b.entry, ReplayMode::Rap);
-  replayer.set_rap_manifest(&run.rewritten.manifest);
+  const auto deployment = rap_deployment(b, run);
+  PathReplayer replayer(*deployment);
   const ReplayResult result = replayer.replay(run.inputs);
   EXPECT_TRUE(result.complete) << result.failure;
   EXPECT_TRUE(result.findings.empty());
@@ -206,8 +212,8 @@ __code_end:
   ASSERT_EQ(run.inputs.packets.size(), 1u);
   run.inputs.packets[0].destination = *b.program.symbol("gadget");
 
-  PathReplayer replayer(run.rewritten.program, b.entry, ReplayMode::Rap);
-  replayer.set_rap_manifest(&run.rewritten.manifest);
+  const auto deployment = rap_deployment(b, run);
+  PathReplayer replayer(*deployment);
   const ReplayResult result = replayer.replay(run.inputs);
   // No benign parse exists (the packet's destination is the gadget), so the
   // lenient pass reports the ROP.
@@ -241,8 +247,8 @@ base:
 __code_end:
   )");
   const RapRun run = run_rap(b);
-  PathReplayer replayer(run.rewritten.program, b.entry, ReplayMode::Rap);
-  replayer.set_rap_manifest(&run.rewritten.manifest);
+  const auto deployment = rap_deployment(b, run);
+  PathReplayer replayer(*deployment);
   const ReplayResult result = replayer.replay(run.inputs);
   EXPECT_TRUE(result.complete) << result.failure;
   EXPECT_EQ(result.events, run.oracle);
@@ -279,8 +285,8 @@ nonzero:
 __code_end:
   )");
   const RapRun run = run_rap(b);
-  PathReplayer replayer(run.rewritten.program, b.entry, ReplayMode::Rap);
-  replayer.set_rap_manifest(&run.rewritten.manifest);
+  const auto deployment = rap_deployment(b, run);
+  PathReplayer replayer(*deployment);
   const ReplayResult result = replayer.replay(run.inputs);
   EXPECT_TRUE(result.complete) << result.failure;
   EXPECT_TRUE(result.findings.empty());
@@ -305,8 +311,8 @@ TEST(ReplaySearch, GeneratedCorpusSamplesStayLossless) {
       const std::string name = gen::corpus_name(p);
       const Built b = build(gen::corpus_source(p));
       const RapRun run = run_rap(b);
-      PathReplayer replayer(run.rewritten.program, b.entry, ReplayMode::Rap);
-      replayer.set_rap_manifest(&run.rewritten.manifest);
+      const auto deployment = rap_deployment(b, run);
+      PathReplayer replayer(*deployment);
       const ReplayResult result = replayer.replay(run.inputs);
       EXPECT_TRUE(result.complete) << name << ": " << result.failure;
       EXPECT_TRUE(result.findings.empty()) << name;

@@ -3,11 +3,13 @@
 // on hand-built micro programs.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "asm/assembler.hpp"
 #include "cfa/provers.hpp"
 #include "rewrite/rap_rewriter.hpp"
 #include "sim/machine.hpp"
-#include "verify/replayer.hpp"
+#include "verify/deployment.hpp"
 
 namespace raptrack::verify {
 namespace {
@@ -59,10 +61,14 @@ RapRun run_rap(const Built& b, u64 r2_seed = 0) {
   return out;
 }
 
+std::shared_ptr<const Deployment> rap_deployment(const Built& b,
+                                                 const RapRun& run) {
+  return Deployment::rap(run.rewritten.program, run.rewritten.manifest,
+                         b.entry);
+}
+
 ReplayResult replay_rap(const Built& b, const RapRun& run) {
-  PathReplayer replayer(run.rewritten.program, b.entry, ReplayMode::Rap);
-  replayer.set_rap_manifest(&run.rewritten.manifest);
-  return replayer.replay(run.inputs);
+  return PathReplayer(*rap_deployment(b, run)).replay(run.inputs);
 }
 
 TEST(Replayer, DeterministicLoopResolvedByValuation) {
@@ -241,8 +247,8 @@ callee:
 __code_end:
   )");
   RapRun run = run_rap(b);
-  PathReplayer replayer(run.rewritten.program, b.entry, ReplayMode::Rap);
-  replayer.set_rap_manifest(&run.rewritten.manifest);
+  const auto deployment = rap_deployment(b, run);
+  PathReplayer replayer(*deployment);
   ReplayPolicy policy;
   policy.valid_call_targets = {0x00300000};  // callee not in the set
   replayer.set_policy(policy);
@@ -260,7 +266,8 @@ loop:
     b loop
 __code_end:
   )");
-  PathReplayer replayer(b.program, b.entry, ReplayMode::Naive);
+  const auto deployment = Deployment::naive(b.program, b.entry);
+  PathReplayer replayer(*deployment);
   ReplayInputs inputs;
   // Naive mode with an endless packet stream of the self-loop.
   for (int i = 0; i < 1000; ++i) {
@@ -273,12 +280,17 @@ __code_end:
   EXPECT_FALSE(result.complete);
 }
 
+// A RAP replay cannot run without its manifest: the only way to build a
+// replayer is from a Deployment, and Deployment::rap owns the manifest.
 TEST(Replayer, ModeRequiresManifest) {
+  static_assert(!std::is_constructible_v<PathReplayer, const Program&,
+                                         Address, ReplayMode>);
   const Built b = build("_start:\n    hlt\n__code_end:\n");
-  PathReplayer replayer(b.program, b.entry, ReplayMode::Rap);
-  const ReplayResult result = replayer.replay({});
-  EXPECT_FALSE(result.complete);
-  EXPECT_NE(result.failure.find("manifest"), std::string::npos);
+  const RapRun run = run_rap(b);
+  const auto deployment = rap_deployment(b, run);
+  ASSERT_NE(deployment->rap_manifest(), nullptr);
+  const ReplayResult result = PathReplayer(*deployment).replay(run.inputs);
+  EXPECT_TRUE(result.complete) << result.failure;
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare two bench JSON runs and flag regressions.
+"""Compare two bench JSON runs; gate on within-run ratio floors.
 
 Usage:
   tools/bench_compare.py BASELINE.json CANDIDATE.json [--threshold PCT]
@@ -16,17 +16,16 @@ Two bench schemas are understood, keyed on the top-level "bench" field
                      oracle/slot/fast; throughput compared on mips.
 
 A row whose candidate throughput drops more than --threshold percent
-(default 10) below the baseline is a regression; the script prints every
-regressed row and exits nonzero so CI can gate on it. Rows present on only
-one side are reported but never fatal (the grid legitimately grows with new
-modes).
+(default 10) below the baseline is reported as a regression. That report
+never fails the run: absolute MIPS/reports-per-s columns depend on the host
+the bench ran on, so a slower runner flags nearly every row while the
+within-run ratios reproduce. Rows present on only one side are reported
+too (the grid legitimately grows and shrinks with modes).
 
-Absolute MIPS/reports-per-s columns depend on the host the bench ran on, so
-cross-host comparisons can trip the percent gate spuriously. The
-ratio-based assertions (--require-speedup, --require-hit-rate,
---require-geomean) are computed *within* the candidate file and are
-host-independent; CI leans on those for hard floors and on the percent gate
-for same-host drift.
+The hard gate is the ratio-based assertions (--require-speedup,
+--require-hit-rate, --require-geomean). They are computed *within* the
+candidate file, so they are host-independent; the script exits nonzero
+only when one of them misses.
 
 --require-geomean asserts that the candidate's geomean_speedup (the
 fast-over-oracle wall-clock ratio a sim_throughput run reports) is at least
@@ -43,20 +42,18 @@ be at least 1.5x memo-off on that repeated-workload row) without needing a
 baseline file at all (pass the candidate as both arguments). A six-part
 rowspec names the two memo variants explicitly, e.g.:
 
-  --require-speedup leafamb/rap/clean/serial_shared/on+frontier/on:1.5
+  --require-speedup gps/rap/clean/serial_shared/on+warm/off:1.0
 
-which enforces the frontier-memo acceptance bar (frontier-on must be at
-least 1.5x the pre-frontier memo=on cost model on the checkpoint-dense
-repeated chain).
+which compares the row that starts from a restored warm snapshot against
+memo off.
 
 --require-hit-rate asserts a segment_hit_rate floor on a single candidate
 row, named by a five-part rowspec (app/method/mix/mode/memo), e.g.:
 
-  --require-hit-rate leafamb/rap/clean/serial_shared/on+frontier:0.5
+  --require-hit-rate gps/traces/clean/serial_shared/on:0.9
 
-which enforces the guarded-segments acceptance bar: the §14 sub-path tier
-(frontier hits excluded) must actually splice on the checkpoint-dense
-repeated chain — before guarded recording its hit rate there was ~0.
+which asserts the sub-path memo actually splices on the repeated TRACES
+chain.
 
 Wall-clock benches are noisy; compare like with like ("release" and "quick"
 flags must match between the two files, or the comparison is refused).
@@ -189,8 +186,8 @@ def main() -> int:
     parser.add_argument("baseline")
     parser.add_argument("candidate")
     parser.add_argument("--threshold", type=float, default=10.0,
-                        help="max tolerated reports_per_s drop, percent "
-                             "(default: 10)")
+                        help="reports_per_s drop reported as a regression, "
+                             "percent (default: 10; report-only)")
     parser.add_argument("--require-speedup", action="append", default=[],
                         metavar="ROWSPEC:FACTOR",
                         help="assert memo-on/memo-off ratio within the "
@@ -199,8 +196,8 @@ def main() -> int:
     parser.add_argument("--require-hit-rate", action="append", default=[],
                         metavar="ROWSPEC:FLOOR",
                         help="assert a segment_hit_rate floor on one "
-                             "candidate row, e.g. leafamb/rap/clean/"
-                             "serial_shared/on+frontier:0.5 (repeatable)")
+                             "candidate row, e.g. gps/traces/clean/"
+                             "serial_shared/on:0.9 (repeatable)")
     parser.add_argument("--require-geomean", type=float, default=None,
                         metavar="FLOOR",
                         help="assert the candidate's geomean_speedup is at "
@@ -267,16 +264,16 @@ def main() -> int:
 
     print(f"compared {len(set(base) & set(cand))} rows: "
           f"{len(regressions)} regressed beyond {args.threshold:.0f}%, "
-          f"{improved} improved beyond it")
+          f"{improved} improved beyond it (absolute rows are report-only)")
     for line in regressions:
-        print(f"REGRESSION: {line}")
+        print(f"regression (report-only): {line}")
     for line in speedup_failures:
         print(f"SPEEDUP MISSED: {line}")
     for line in hit_rate_failures:
         print(f"HIT RATE MISSED: {line}")
     for line in geomean_failures:
         print(f"GEOMEAN MISSED: {line}")
-    return 1 if (regressions or speedup_failures or hit_rate_failures or
+    return 1 if (speedup_failures or hit_rate_failures or
                  geomean_failures) else 0
 
 
