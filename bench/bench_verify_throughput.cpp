@@ -9,16 +9,10 @@
 // encoded wire bytes of one device's report chain — and runs to a terminal
 // verdict. Modes per (app, attestation method, damage mix):
 //
-//   serial_rebuild — fresh Verifier + expect_rap() per chain: the pre-farm
-//                    cost model, where every verification re-derives the
-//                    deployment (re-decode, re-hash, linear manifest scans).
 //   serial_shared  — fresh Verifier sharing one prebuilt Deployment cache:
 //                    the single-thread hot path the farm runs per worker.
-//                    Measured memo=off and memo=on (the sub-path memo), and
-//                    on RAP workloads also "on+warm": memo on, starting from
-//                    a cache rebuilt via serialize_warm/restore_warm (the
-//                    persistent warm-start path a restored verifier
-//                    endpoint takes).
+//                    Measured memo=off, and for naive/TRACES also memo=on
+//                    (the sub-path memo; RAP replays never use it).
 //   farm           — VerifierFarm::submit_wire at 1/2/4/8 *requested*
 //                    workers: sharded scheduling, shared deployment+memo,
 //                    batched multi-lane MACs. FarmOptions clamps requests to
@@ -88,7 +82,7 @@ struct Row {
   std::string app;
   std::string method;
   std::string mix;
-  std::string mode;  // "serial_rebuild" | "serial_shared" | "farm"
+  std::string mode;  // "serial_shared" | "farm"
   std::string memo = "off";
   size_t workers = 1;            ///< effective (post-clamp) worker count
   size_t workers_requested = 1;  ///< what FarmOptions asked for
@@ -155,8 +149,8 @@ void check_memo_digests(const Workload& w) {
 }
 
 /// Build the (app x method x damage-mix) workload grid: attest each app once
-/// under each method, then mutate the clean chain with the PR-1 fault
-/// injectors for the damage mixes.
+/// under each method, then mutate the clean chain with the fault injectors
+/// for the damage mixes.
 std::vector<Workload> build_workloads(bool quick) {
   std::vector<Workload> out;
   const std::vector<std::string> names =
@@ -253,93 +247,6 @@ std::vector<Workload> build_workloads(bool quick) {
     }
   }
 
-  {
-    // Checkpoint-dense acceptance workload ("leafamb"): N unrolled direct
-    // calls to a leaf whose rare-alarm conditional fires only on the final
-    // call. BX LR leaf returns are unmonitored, so the alarm packet is
-    // attributable to ANY call instance — every instance is RAP-ambiguous.
-    // Greedy attributes it to the current instance, burns a deterministic
-    // spin loop in the alarm arm, and is refuted by the POP {pc} return
-    // packet (wrong per-site return address -> strict-pass failure), so
-    // every replay backtracks once per call. This is the worst case for the
-    // backtracking search. RAP/clean only: the grid above already prices
-    // the other methods and verdict paths.
-    constexpr int kCalls = 48;
-    constexpr int kSpin = 120;
-    std::string source = R"asm(
-.equ RES,     0x20200000
-.equ COUNTER, 0x20200040
-
-_start:
-    li r3, =COUNTER
-    movi r5, #0
-)asm";
-    for (int i = 0; i < kCalls; ++i) source += "    bl check\n";
-    source += R"asm(
-    li r1, =RES
-    str r5, [r1, #0]
-    hlt
-
-check:
-    ldr r1, [r3, #0]
-    addi r1, r1, #1
-    str r1, [r3, #0]
-    cmp r1, #)asm";
-    source += std::to_string(kCalls);
-    source += R"asm(
-    beq alarm
-    bx lr
-alarm:
-    addi r5, r5, #1
-    movi r7, #0
-spin:
-    addi r7, r7, #1
-    cmp r7, #)asm";
-    source += std::to_string(kSpin);
-    source += R"asm(
-    blt spin
-    push {lr}
-    pop {pc}
-__code_end:
-)asm";
-    apps::App app;
-    app.name = "leafamb";
-    app.description = "unrolled leaf calls with a rare-alarm ambiguity";
-    app.source = source;
-    app.setup = [](sim::Machine& machine, u64) {
-      auto periph = std::make_shared<apps::Peripherals>();
-      periph->attach(machine);
-      return periph;
-    };
-    app.check = [](sim::Machine&, const apps::Peripherals&, u64) {
-      return true;
-    };
-    const apps::PreparedApp prepared = apps::prepare_app(app);
-    cfa::SessionOptions options;
-    options.watermark_bytes = 128;
-    sim::MachineConfig config;
-    config.mtb_buffer_bytes = 256;
-    Workload w;
-    w.app = "leafamb";
-    w.method = "rap";
-    w.mix = "clean";
-    w.deployment = Deployment::rap(prepared.rap.program, prepared.rap.manifest,
-                                   prepared.built.entry);
-    w.config.expected_watermark = options.watermark_bytes;
-    w.chal = fault::campaign_challenge(1);
-    const auto chain =
-        apps::run_rap(prepared, 42, config, options, w.chal)
-            .attestation.reports;
-    w.reports_per_chain = chain.size();
-    w.wire = cfa::encode_report_chain(chain);
-    w.expected = probe(w);
-    check_memo_digests(w);
-    if (w.expected != Verdict::Accept) {
-      std::fprintf(stderr, "error: leafamb/rap clean chain does not verify\n");
-      std::exit(1);
-    }
-    out.push_back(std::move(w));
-  }
   return out;
 }
 
@@ -363,55 +270,24 @@ struct MemoDelta {
 /// the wire bytes with a fresh Verifier (so every chain gets an outstanding
 /// challenge, exactly like distinct devices reporting in). Memo-on rows
 /// start from a cleared cache, so the reported hit rate is what the repeated
-/// workload itself earned. `warm_restart` primes the cache, snapshots it
-/// with serialize_warm, clears, and restores before the timed region — the
-/// first-session-after-recovery cost a persistent warm start pays.
-Row measure_serial(const Workload& w, bool rebuild, bool memo, size_t chains,
-                   int reps, bool warm_restart = false) {
+/// workload itself earned.
+Row measure_serial(const Workload& w, bool memo, size_t chains, int reps) {
   Row row;
   row.app = w.app;
   row.method = w.method;
   row.mix = w.mix;
-  row.mode = rebuild ? "serial_rebuild" : "serial_shared";
-  row.memo = !memo ? "off" : warm_restart ? "on+warm" : "on";
+  row.mode = "serial_shared";
+  row.memo = memo ? "on" : "off";
   row.chains = chains;
   row.reports = chains * w.reports_per_chain;
   row.wall_ns = ~0ull;
-  if (memo) {
-    w.deployment->memo().clear();
-    if (warm_restart) {
-      verify_once(w, true);
-      verify_once(w, true);
-      const std::vector<u8> snapshot = w.deployment->memo().serialize_warm();
-      w.deployment->memo().clear();
-      w.deployment->memo().restore_warm(snapshot);
-    }
-  }
+  if (memo) w.deployment->memo().clear();
   const MemoDelta delta(w);
   for (int rep = 0; rep < reps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
     for (size_t i = 0; i < chains; ++i) {
       verify::Verifier verifier(apps::demo_key());
-      if (rebuild) {
-        switch (w.deployment->mode()) {
-          case verify::ReplayMode::Rap:
-            verifier.expect_rap(w.deployment->program(),
-                                *w.deployment->rap_manifest(),
-                                w.deployment->entry());
-            break;
-          case verify::ReplayMode::Naive:
-            verifier.expect_naive(w.deployment->program(),
-                                  w.deployment->entry());
-            break;
-          case verify::ReplayMode::Traces:
-            verifier.expect_traces(w.deployment->program(),
-                                   *w.deployment->traces_manifest(),
-                                   w.deployment->entry());
-            break;
-        }
-      } else {
-        verifier.expect(w.deployment);
-      }
+      verifier.expect(w.deployment);
       verifier.set_expected_watermark(w.config.expected_watermark);
       verifier.set_memo(memo);
       verifier.adopt_challenge(w.chal);
@@ -452,8 +328,9 @@ Row measure_farm(const Workload& w, size_t workers, size_t chains, int reps) {
   row.method = w.method;
   row.mix = w.mix;
   row.mode = "farm";
-  // The farm runs the production VerifyConfig defaults (sub-path memo on).
-  row.memo = "on";
+  // The farm runs the production VerifyConfig defaults: the sub-path memo
+  // is on, and RAP replays never use it.
+  row.memo = w.method == "rap" ? "off" : "on";
   row.workers_requested = workers;
   row.chains = chains;
   row.reports = chains * w.reports_per_chain;
@@ -573,15 +450,13 @@ bool validate(const std::string& text, size_t expected_rows,
         return false;
       }
     }
-    if (row.find("\"mode\": \"serial_rebuild\"") == std::string::npos &&
-        row.find("\"mode\": \"serial_shared\"") == std::string::npos &&
+    if (row.find("\"mode\": \"serial_shared\"") == std::string::npos &&
         row.find("\"mode\": \"farm\"") == std::string::npos) {
       error = "row " + std::to_string(rows) + " has an unknown mode";
       return false;
     }
     if (row.find("\"memo\": \"on\"") == std::string::npos &&
-        row.find("\"memo\": \"off\"") == std::string::npos &&
-        row.find("\"memo\": \"on+warm\"") == std::string::npos) {
+        row.find("\"memo\": \"off\"") == std::string::npos) {
       error = "row " + std::to_string(rows) + " has an unknown memo state";
       return false;
     }
@@ -640,29 +515,19 @@ int main(int argc, char** argv) {
 
   std::vector<Row> all;
   for (const Workload& w : build_workloads(quick)) {
-    Row rebuild = measure_serial(w, /*rebuild=*/true, /*memo=*/false, chains,
-                                 reps);
-    Row shared_off = measure_serial(w, /*rebuild=*/false, /*memo=*/false,
-                                    chains, reps);
-    Row shared_on = measure_serial(w, /*rebuild=*/false, /*memo=*/true,
-                                   chains, reps);
-    std::printf("%-12s %-7s %-9s serial rebuild %9.0f chains/s   shared "
-                "%9.0f chains/s   memo %9.0f chains/s (%.2fx, hit %.2f)\n",
-                w.app.c_str(), w.method.c_str(), w.mix.c_str(),
-                rebuild.chains_per_s, shared_off.chains_per_s,
-                shared_on.chains_per_s,
-                shared_on.chains_per_s / shared_off.chains_per_s,
-                shared_on.segment_hit_rate);
-    all.push_back(std::move(rebuild));
+    Row shared_off = measure_serial(w, /*memo=*/false, chains, reps);
+    std::printf("%-12s %-7s %-9s serial %9.0f chains/s", w.app.c_str(),
+                w.method.c_str(), w.mix.c_str(), shared_off.chains_per_s);
+    const double off_rate = shared_off.chains_per_s;
     all.push_back(std::move(shared_off));
-    all.push_back(std::move(shared_on));
-
-    // Warm restart, RAP only: the first sessions after a verifier restores
-    // its MEM1 snapshot.
-    if (w.method == "rap") {
-      all.push_back(measure_serial(w, /*rebuild=*/false, /*memo=*/true, chains,
-                                   reps, /*warm_restart=*/true));
+    if (w.method != "rap") {
+      Row shared_on = measure_serial(w, /*memo=*/true, chains, reps);
+      std::printf("   memo %9.0f chains/s (%.2fx, hit %.2f)",
+                  shared_on.chains_per_s, shared_on.chains_per_s / off_rate,
+                  shared_on.segment_hit_rate);
+      all.push_back(std::move(shared_on));
     }
+    std::printf("\n");
 
     double w1_rate = 0.0;
     for (const size_t workers : worker_counts) {

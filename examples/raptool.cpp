@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,13 @@ int cmd_rewrite(const std::string& source, const std::string& image_out,
   std::printf("image: %u -> %u bytes (%u slots, %u loop veneers)\n",
               result.original_bytes, result.rewritten_bytes, result.slot_count,
               result.veneer_count);
+  std::map<std::string, u32> kinds;
+  for (const auto& slot : result.manifest.slots) {
+    ++kinds[rewrite::slot_kind_name(slot.kind)];
+  }
+  for (const auto& [kind, count] : kinds) {
+    std::printf("  %-15s %u\n", kind.c_str(), count);
+  }
   std::printf("MTBDR [%s, %s]  MTBAR [%s, %s]\n",
               hex32(result.manifest.mtbdr_base).c_str(),
               hex32(result.manifest.mtbdr_limit).c_str(),

@@ -9,6 +9,7 @@ const char* slot_kind_name(SlotKind kind) {
     case SlotKind::ReturnPop: return "return-pop";
     case SlotKind::CondTaken: return "cond-taken";
     case SlotKind::CondNotTaken: return "cond-not-taken";
+    case SlotKind::CondBoth: return "cond-both";
   }
   return "?";
 }

@@ -22,6 +22,9 @@ enum class SlotKind : u8 {
   CondTaken,      ///< Figs 5/6: Bcc retargeted to slot; slot is B taken_target
   CondNotTaken,   ///< Fig 7: fall-through displaced; slot re-executes it and
                   ///< branches back — one packet per loop iteration
+  CondBoth,       ///< site becomes B slot; slot is Bcc taken_target ; B site+4
+                  ///< — one packet per dynamic instance, either direction.
+                  ///< Used where either single-edge slot would be ambiguous.
 };
 
 const char* slot_kind_name(SlotKind kind);
@@ -33,8 +36,8 @@ struct SlotRecord {
   Address slot_end = 0;    ///< exclusive
   Address site = 0;        ///< original branch site (the Bcc for Cond* kinds)
   isa::Instruction original;  ///< the instruction that was rewritten/displaced
-  /// CondTaken: the original taken target. CondNotTaken: the address the slot
-  /// branches back to (site + 8).
+  /// CondTaken/CondBoth: the original taken target. CondNotTaken: the
+  /// address the slot branches back to (site + 8).
   Address continuation = 0;
 };
 

@@ -1,11 +1,16 @@
 #include "rewrite/manifest_io.hpp"
 
+#include <string>
+
 namespace raptrack::rewrite {
 
 namespace {
 
 constexpr u32 kMagic = 0x5250'414d;  // "RPAM"
-constexpr u32 kVersion = 1;
+/// v2 added SlotKind::CondBoth. v1 manifests are refused whole: their
+/// rewriter could leave ambiguous slots, which the greedy replay does not
+/// search through.
+constexpr u32 kVersion = 2;
 
 class Writer {
  public:
@@ -129,7 +134,11 @@ std::vector<u8> serialize_manifest(const Manifest& m) {
 Manifest deserialize_manifest(std::span<const u8> bytes) {
   Reader r(bytes);
   if (r.u32_value() != kMagic) throw Error("manifest: bad magic");
-  if (r.u32_value() != kVersion) throw Error("manifest: unsupported version");
+  const u32 version = r.u32_value();
+  if (version == 1) {
+    throw Error("manifest: v1 may carry ambiguous slots; rewrite the image");
+  }
+  if (version != kVersion) throw Error("manifest: unsupported version");
   Manifest m;
   m.code_begin = r.u32_value();
   m.code_end = r.u32_value();
@@ -143,7 +152,11 @@ Manifest deserialize_manifest(std::span<const u8> bytes) {
   const u32 slot_count = r.u32_value();
   for (u32 i = 0; i < slot_count; ++i) {
     SlotRecord slot;
-    slot.kind = static_cast<SlotKind>(r.u8_value());
+    const u8 kind = r.u8_value();
+    if (kind > static_cast<u8>(SlotKind::CondBoth)) {
+      throw Error("manifest: unknown slot kind " + std::to_string(kind));
+    }
+    slot.kind = static_cast<SlotKind>(kind);
     slot.slot_base = r.u32_value();
     slot.slot_end = r.u32_value();
     slot.site = r.u32_value();

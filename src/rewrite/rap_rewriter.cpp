@@ -88,8 +88,9 @@ class Rewriter {
     }
 
     graph_ = &graph;
-    build_unlogged_graph(graph, loops);
+    build_unlogged_graph(logged_by_role(loops));
     plan_sites(loops);
+    close_residual_ambiguity();
     emit_veneers();
     emit_slots();
     patch_sites();
@@ -102,7 +103,8 @@ class Rewriter {
     SlotKind kind;
     Address site;
     Instruction original;
-    Address continuation = 0;  // CondTaken: taken target; CondNotTaken: resume
+    Address continuation = 0;  // CondTaken/CondBoth: taken target;
+                               // CondNotTaken: resume
   };
   struct PlannedVeneer {
     Address site;  // preheader instruction address
@@ -118,16 +120,34 @@ class Rewriter {
   // call guarded by a base-case conditional: the not-taken path re-enters
   // the function through an unlogged direct call). Where exactly one
   // direction has that property, we log the other direction instead — the
-  // local parse becomes decidable while staying lossless. Where both (or
-  // neither) do, the paper's default (log taken) is kept; the Verifier's
-  // backtracking parser covers the residual ambiguity.
+  // local parse becomes decidable while staying lossless. Sites the flip
+  // cannot fix get a CondBoth slot that logs both edges
+  // (close_residual_ambiguity), so every slot decision the Verifier makes
+  // is certain and one greedy pass reconstructs the path.
+
+  /// Which directions of a conditional site produce a CF_Log packet.
+  struct LoggedEdges {
+    bool taken = false;
+    bool fallthrough = false;
+  };
+  using LoggedMap = std::map<Address, LoggedEdges>;
+
+  static LoggedMap logged_by_role(const cfg::LoopAnalysis& loops) {
+    LoggedMap logged;
+    for (const auto& [site, role] : loops.bcc_roles) {
+      if (role == BccRole::LogTaken) logged[site].taken = true;
+      if (role == BccRole::LogNotTaken) logged[site].fallthrough = true;
+    }
+    return logged;
+  }
 
   /// Blocks reachable from `begin` via edges that produce no CF_Log packet:
   /// fall-throughs, direct branches/calls, unlogged conditional directions,
   /// and unmonitored BX LR returns (over-approximated as edges to every
   /// call-return site).
-  void build_unlogged_graph(const cfg::Cfg& graph,
-                            const cfg::LoopAnalysis& loops) {
+  void build_unlogged_graph(const LoggedMap& logged) {
+    const cfg::Cfg& graph = *graph_;
+    unlogged_edges_.clear();
     std::vector<Address> return_sites;
     for (const auto& [begin, block] : graph.blocks()) {
       if (block.terminator == BranchKind::DirectCall &&
@@ -138,9 +158,7 @@ class Rewriter {
     for (const auto& [begin, block] : graph.blocks()) {
       auto& out = unlogged_edges_[begin];
       const auto add_block_of = [&](Address addr) {
-        if (addr >= code_begin_ && addr < code_end_) {
-          out.push_back(graph.block_containing(addr).begin);
-        }
+        if (in_code(addr)) out.push_back(graph.block_containing(addr).begin);
       };
       const Address last = block.last_instr();
       const auto instr = result_.program.instruction_at(last);
@@ -155,15 +173,10 @@ class Rewriter {
           add_block_of(isa::branch_target(*instr, last));  // into the callee
           break;
         case BranchKind::Conditional: {
-          const auto role = loops.bcc_roles.find(last);
-          const Address taken = isa::branch_target(*instr, last);
-          const bool taken_logged =
-              role != loops.bcc_roles.end() && role->second == cfg::BccRole::LogTaken;
-          const bool fallthrough_logged =
-              role != loops.bcc_roles.end() &&
-              role->second == cfg::BccRole::LogNotTaken;
-          if (!taken_logged) add_block_of(taken);
-          if (!fallthrough_logged) add_block_of(block.end);
+          const auto it = logged.find(last);
+          const LoggedEdges edges = it != logged.end() ? it->second : LoggedEdges{};
+          if (!edges.taken) add_block_of(isa::branch_target(*instr, last));
+          if (!edges.fallthrough) add_block_of(block.end);
           break;
         }
         case BranchKind::Return:
@@ -177,9 +190,16 @@ class Rewriter {
     }
   }
 
-  /// Can `from` re-reach the block holding `site` through unlogged edges?
-  bool silently_reaches(Address from, Address site_block) const {
-    std::vector<Address> worklist{from};
+  bool in_code(Address addr) const {
+    return addr >= code_begin_ && addr < code_end_;
+  }
+
+  /// Can the block holding `from` re-reach the block holding `site`
+  /// through unlogged edges?
+  bool silently_reaches(Address from, Address site) const {
+    if (!in_code(from)) return false;
+    const Address site_block = graph_->block_containing(site).begin;
+    std::vector<Address> worklist{graph_->block_containing(from).begin};
     std::set<Address> seen;
     while (!worklist.empty()) {
       const Address block = worklist.back();
@@ -266,13 +286,8 @@ class Rewriter {
     const Address taken_target = isa::branch_target(bcc, site);
     if (role == BccRole::LogTaken && taken_target > site &&
         site + 4 < code_end_) {
-      const Address site_block = graph_->block_containing(site).begin;
-      const bool fallthrough_rejoins = silently_reaches(
-          graph_->block_containing(site + 4).begin, site_block);
-      const bool taken_rejoins =
-          taken_target >= code_begin_ && taken_target < code_end_ &&
-          silently_reaches(graph_->block_containing(taken_target).begin,
-                           site_block);
+      const bool fallthrough_rejoins = silently_reaches(site + 4, site);
+      const bool taken_rejoins = silently_reaches(taken_target, site);
       if (fallthrough_rejoins && !taken_rejoins) {
         const auto displaced = result_.program.instruction_at(site + 4);
         if (displaced && displaceable_verbatim(*displaced)) {
@@ -283,6 +298,36 @@ class Rewriter {
       }
     }
     planned_slots_.push_back({SlotKind::CondTaken, site, bcc, taken_target});
+  }
+
+  /// Re-derive the unlogged graph from the slot kinds actually planned
+  /// (fallbacks and flips moved some logged directions) and give every
+  /// conditional slot whose unlogged direction still silently re-reaches
+  /// its own site a CondBoth slot. Converting a slot only removes unlogged
+  /// edges, so no decision here can create a new ambiguity: one pass over
+  /// the planned graph is enough.
+  void close_residual_ambiguity() {
+    LoggedMap logged;
+    for (const auto& slot : planned_slots_) {
+      if (slot.kind == SlotKind::CondTaken) logged[slot.site].taken = true;
+      if (slot.kind == SlotKind::CondNotTaken) {
+        logged[slot.site].fallthrough = true;
+      }
+    }
+    build_unlogged_graph(logged);
+    for (PlannedSlot& slot : planned_slots_) {
+      if (slot.kind != SlotKind::CondTaken &&
+          slot.kind != SlotKind::CondNotTaken) {
+        continue;
+      }
+      const Instruction bcc = *result_.program.instruction_at(slot.site);
+      const Address taken_target = isa::branch_target(bcc, slot.site);
+      const Address unlogged =
+          slot.kind == SlotKind::CondTaken ? slot.site + 4 : taken_target;
+      if (silently_reaches(unlogged, slot.site)) {
+        slot = {SlotKind::CondBoth, slot.site, bcc, taken_target};
+      }
+    }
   }
 
   void emit_veneers() {
@@ -350,6 +395,16 @@ class Rewriter {
               Op::B, isa::branch_offset(back, planned.continuation))));
           break;
         }
+        case SlotKind::CondBoth: {
+          // Bcc taken_target ; B site+4 — whichever way the condition goes,
+          // the branch that leaves the slot is recorded.
+          Instruction bcc = planned.original;
+          bcc.imm = isa::branch_offset(body, planned.continuation);
+          words.push_back(isa::encode(bcc));
+          words.push_back(isa::encode(isa::make_branch(
+              Op::B, isa::branch_offset(body + 4, planned.site + 4))));
+          break;
+        }
       }
       program.append_words(words);
 
@@ -383,7 +438,6 @@ class Rewriter {
     for (const auto& veneer : result_.manifest.loop_veneers) claim(veneer.site);
 
     for (const auto& slot : result_.manifest.slots) {
-      const Address body = slot.slot_base + 4 * options_.nop_pad;
       switch (slot.kind) {
         case SlotKind::IndirectCall:
           program.set_instruction(
@@ -392,6 +446,7 @@ class Rewriter {
           break;
         case SlotKind::IndirectJump:
         case SlotKind::ReturnPop:
+        case SlotKind::CondBoth:
           program.set_instruction(
               slot.site, isa::make_branch(Op::B, isa::branch_offset(slot.site,
                                                                     slot.slot_base)));
@@ -411,7 +466,6 @@ class Rewriter {
                                                          slot.slot_base)));
           break;
       }
-      (void)body;
     }
     for (const auto& veneer : result_.manifest.loop_veneers) {
       program.set_instruction(

@@ -79,6 +79,7 @@ AuditReport audit_impl(const VerificationResult& result,
       case rewrite::SlotKind::ReturnPop: return isa::BranchKind::Return;
       case rewrite::SlotKind::CondTaken:
       case rewrite::SlotKind::CondNotTaken:
+      case rewrite::SlotKind::CondBoth:
         return isa::BranchKind::Conditional;
     }
     return event.kind;

@@ -120,11 +120,10 @@ Deployment::Deployment(ReplayMode mode, Program program,
 
 std::shared_ptr<const Deployment> Deployment::rap(Program program,
                                                   rewrite::Manifest manifest,
-                                                  Address entry,
-                                                  MemoOptions memo) {
-  return std::shared_ptr<const Deployment>(
-      new Deployment(ReplayMode::Rap, std::move(program), std::move(manifest),
-                     std::nullopt, entry, memo));
+                                                  Address entry) {
+  return std::shared_ptr<const Deployment>(new Deployment(
+      ReplayMode::Rap, std::move(program), std::move(manifest), std::nullopt,
+      entry, MemoOptions{.shards = 1, .slots_per_shard = 0}));
 }
 
 std::shared_ptr<const Deployment> Deployment::naive(Program program,

@@ -124,10 +124,11 @@ struct VerifyConfig {
 /// share freely across threads via shared_ptr<const Deployment>.
 class Deployment {
  public:
+  /// RAP replays do not memoize, so a RAP deployment's memo() is an empty
+  /// minimal cache and takes no MemoOptions.
   static std::shared_ptr<const Deployment> rap(Program program,
                                                rewrite::Manifest manifest,
-                                               Address entry,
-                                               MemoOptions memo = {});
+                                               Address entry);
   static std::shared_ptr<const Deployment> naive(Program program,
                                                  Address entry,
                                                  MemoOptions memo = {});

@@ -3,23 +3,23 @@
 //
 // MCU attestation traffic is dominated by repetition — every loop iteration,
 // every hot call path, and (for a fleet) every device running the same
-// firmware produces near-identical CF_Log windows. The replay engine
-// therefore memoizes *segments*: checkpoint-free, finding-free stretches of
-// its own execution, keyed by everything the stretch's behavior depends on
+// firmware produces near-identical CF_Log windows. The Naive and TRACES
+// replay engines therefore memoize *segments*: finding-free stretches of
+// their own execution, keyed by everything the stretch's behavior depends on
 // and valued by everything the stretch changes. On a later replay whose
 // state and evidence window match a stored segment exactly, the engine
 // splices the recorded effects (events, cursor advances, valuation, shadow
 // stack, step counters) and jumps straight to the exit state.
 //
-// Soundness rests on the engine's own determinism argument (the one that
-// justifies its backtracking failure memo): between checkpoints, every
-// decision is a pure function of (pc, valuation, shadow-stack top, the
-// evidence actually consumed or peeked, the immutable ReplayIndex, and the
-// call-target policy). A segment's key captures precisely that footprint —
-// consumed evidence is compared byte-for-byte, the one-packet lookahead the
-// decision logic may have peeked is pinned, and anything outside the
-// footprint (ambiguous RAP decisions, backtracking, findings, forced
-// decisions) aborts recording instead of being approximated. Memoization
+// Soundness rests on the engine's determinism: every decision is a pure
+// function of (pc, valuation, shadow-stack top, the evidence actually
+// consumed or peeked, the immutable ReplayIndex, and the call-target
+// policy). A segment's key captures precisely that footprint — consumed
+// evidence is compared byte-for-byte, the one-packet lookahead the decision
+// logic may have peeked is pinned, and anything outside the footprint
+// (findings, failures) aborts recording instead of being approximated.
+// RAP replays do not use the cache: their chains rarely repeat a segment,
+// so recording them cost resident memory for no hits. Memoization
 // may therefore change only wall-clock time and the memo_hits/memo_misses
 // telemetry — never a verdict, event, finding, or counter. tests/test_memo
 // enforces that bit-for-bit against the unmemoized engine.
@@ -89,7 +89,7 @@ struct MemoSegment {
   /// Evidence consumed during the segment, compared byte-for-byte against
   /// the live streams at the current cursors.
   std::vector<trace::BranchPacket> packets;
-  std::vector<u32> loop_values;      ///< RAP or TRACES loop stream (per mode)
+  std::vector<u32> loop_values;      ///< TRACES loop-condition stream
   std::vector<u8> direction_bits;    ///< TRACES direction bits (0/1)
   std::vector<Address> indirect_targets;
   /// The engine peeked one packet past the consumed window (conditional
@@ -137,15 +137,6 @@ struct MemoOptions {
   /// default 128-byte watermark (16 packets), so whole repeated reports
   /// memoize as chains of window hits.
   u32 window_packets = 16;
-  /// Futility-backoff ceiling, in replay steps. Consecutive anchors that
-  /// neither hit the cache nor store a segment double a delay before the
-  /// next anchor attempt, up to this cap — checkpoint-dense RAP ambiguity
-  /// search aborts recording every few steps, and without backoff each
-  /// re-anchor pays a full pack+hash+lookup for a near-certain miss. Any
-  /// hit or stored segment resets the delay. 0 disables backoff (anchor on
-  /// every opportunity); the differential tests use that to force dense
-  /// cache traffic on RAP chains.
-  u32 anchor_backoff_cap = 512;
 };
 
 /// Point-in-time cache statistics (relaxed-atomic reads; exact only when

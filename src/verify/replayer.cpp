@@ -4,7 +4,6 @@
 #include <bit>
 #include <memory>
 #include <optional>
-#include <set>
 
 #include "common/bits.hpp"
 #include "common/hex.hpp"
@@ -306,18 +305,14 @@ PathReplayer::PathReplayer(const Deployment& deployment)
       mode_(deployment.mode()) {}
 
 // ---------------------------------------------------------------------------
-// Replay engine with backtracking.
+// Replay engine: one greedy pass over the evidence.
 //
-// RAP-Track's taken-edge logging has a one-sided ambiguity: at a trampolined
-// conditional site, "next packet not from this site's slot" proves the
-// branch went the unlogged way, but "next packet from this slot" may belong
-// to a *later* dynamic instance reached entirely through unlogged edges
-// (e.g. a leaf call/return cycle). The engine therefore checkpoints those
-// decisions, takes the greedy reading first, and backtracks on any
-// downstream reconstruction failure — the log as a whole admits exactly one
-// consistent parse for honest evidence. Naive mode needs no checkpoints
-// (every cycle contains a logged taken branch), nor does TRACES (one
-// direction bit per dynamic instance).
+// Every decision is certain. Naive mode logs every taken branch, TRACES logs
+// one direction bit per dynamic instance, and the RAP rewriter leaves no
+// slot whose unlogged direction silently re-reaches its own site (sites
+// where that would happen log both edges through a CondBoth slot). So the
+// next packet always tells which way a logged site went, and the first
+// reconstruction failure is final.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -328,15 +323,14 @@ class ReplayEngine {
                const ReplayPolicy& policy, const ReplayInputs& inputs,
                u64 max_steps,
                const std::vector<trace::OracleEvent>* script = nullptr,
-               bool strict = false, MemoCache* memo = nullptr)
+               MemoCache* memo = nullptr)
       : index_(index),
         mode_(mode),
         policy_(policy),
         inputs_(inputs),
         max_steps_(max_steps),
         script_(script),
-        strict_(strict),
-        memo_(script == nullptr ? memo : nullptr) {
+        memo_(script == nullptr && mode != ReplayMode::Rap ? memo : nullptr) {
     pc_ = entry;
     if (memo_ != nullptr) {
       // Call-target-policy fingerprint for the memo key: the policy decides
@@ -355,21 +349,6 @@ class ReplayEngine {
   ReplayResult run();
 
  private:
-  /// Mutable cursor/valuation state captured at a checkpoint.
-  struct Snapshot {
-    Address pc;
-    Valuation val;
-    std::vector<Address> shadow_stack;
-    size_t packet_cursor, bit_cursor, target_cursor, loop_cursor;
-    size_t events_size, findings_size;
-    /// Step/index counters are *path-local*: restored on backtrack so the
-    /// final result counts only the accepted parse, independent of how much
-    /// dead-end exploration the search performed.
-    u64 steps, index_hits, index_fallbacks;
-    bool forced_decision;  ///< the alternative to take after restoring
-    u64 state_hash;        ///< pre-decision state (for the failure memo)
-  };
-
   // -- state ---------------------------------------------------------------
   /// Precomputed per-deployment lookups (instructions, branch targets, MTBAR
   /// slots, veneers) — shared and read-only, see deployment.hpp.
@@ -378,12 +357,8 @@ class ReplayEngine {
   const ReplayPolicy& policy_;
   const ReplayInputs& inputs_;
   u64 max_steps_;
-  /// Checker mode: the path to follow instead of searching for a parse.
+  /// Checker mode: the path to follow instead of reading it off the evidence.
   const std::vector<trace::OracleEvent>* script_;
-  /// Strict pass: attack findings count as parse failures, so backtracking
-  /// searches for a finding-free (benign) parse first. The lenient second
-  /// pass reports findings only when no benign parse exists.
-  bool strict_;
 
   Address pc_ = 0;
   Valuation val_;
@@ -393,27 +368,6 @@ class ReplayEngine {
   size_t target_cursor_ = 0;
   size_t loop_cursor_ = 0;
   ReplayResult result_;
-  std::vector<Snapshot> checkpoints_;
-  /// Failure memo: hashes of full engine states whose exploration failed.
-  /// Sound because downstream behavior is a deterministic function of
-  /// (pc, cursors, shadow stack, valuation); prevents chronological
-  /// backtracking from re-exploring the same subtree exponentially
-  /// (deep recursion makes this essential — see the fibcall workload).
-  /// Bounded by kMaxFailedStates (lowest-hash eviction — effectively random
-  /// for uniform hashes) so an adversarial chain cannot grow it without
-  /// limit; the cap is an engine constant, NOT a memo option, so memoized
-  /// and unmemoized runs prune identically.
-  std::set<u64> failed_states_;
-  u64 backtracks_ = 0;
-  /// Counter values captured at the top of the current step, before the
-  /// step's own increments. Checkpoints must store these — not the live
-  /// counters — so a backtrack that re-executes the ambiguous site counts
-  /// its step (and decode) exactly once. Otherwise `steps` would depend on
-  /// how much searching happened.
-  u64 pre_step_steps_ = 0;
-  u64 pre_step_index_hits_ = 0;
-  u64 pre_step_index_fallbacks_ = 0;
-  std::optional<bool> forced_decision_;  // applied to the next Bcc
   std::string pending_failure_;
 
   // -- verified sub-path memo (see memo.hpp) --------------------------------
@@ -447,43 +401,14 @@ class ReplayEngine {
     size_t eos_rel = 0;
   };
 
-  /// Shared cache, or null when memoization is off (checker mode always).
+  /// Shared cache, or null when memoization is off. Only Naive and TRACES
+  /// replays use it: RAP chains rarely repeat a segment, so recording them
+  /// costs memory and buys nothing. Checker mode never uses it.
   MemoCache* memo_ = nullptr;
   MemoRecording rec_;
   /// A halted segment was spliced: the replay is complete.
   bool memo_halted_ = false;
   u64 policy_hash_ = 0;
-  /// Futility backoff for re-anchoring (see memo_tick): current step delay
-  /// and the step count at which the next anchor attempt is allowed.
-  u32 memo_backoff_ = 0;
-  u64 memo_resume_step_ = 0;
-
-  static constexpr u64 kMaxBacktracks = 2'000'000;
-  static constexpr size_t kMaxFailedStates = size_t{1} << 20;
-
-  /// Hash of the complete decision-relevant engine state.
-  u64 state_hash() const {
-    u64 h = 0x9e3779b97f4a7c15ull;
-    const auto mix = [&h](u64 v) {
-      h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    };
-    mix(pc_);
-    mix(packet_cursor_);
-    mix(bit_cursor_);
-    mix(target_cursor_);
-    mix(loop_cursor_);
-    mix(shadow_stack_.size());
-    for (const Address a : shadow_stack_) mix(a);
-    for (const auto& reg : val_.regs) mix(reg ? u64{*reg} | (1ull << 32) : 0);
-    const auto mix_flag = [&](const std::optional<bool>& f) {
-      mix(f ? (*f ? 2u : 1u) : 0u);
-    };
-    mix_flag(val_.flags.n);
-    mix_flag(val_.flags.z);
-    mix_flag(val_.flags.c);
-    mix_flag(val_.flags.v);
-    return h;
-  }
 
   // -- helpers ---------------------------------------------------------------
   void fail(const std::string& why) {
@@ -542,14 +467,9 @@ class ReplayEngine {
   }
 
   void report_finding(AttackFinding finding) {
-    // Findings are path-level judgments; keep them out of memo segments so
-    // strict and lenient passes can share the cache (finding-free segments
-    // behave identically in both).
+    // Segments carry no findings, so a stretch that raised one must not
+    // become a segment: a splice would drop the finding.
     rec_.active = false;
-    if (strict_) {
-      fail("strict pass: " + finding.description);
-      return;
-    }
     result_.findings.push_back(std::move(finding));
   }
 
@@ -626,50 +546,13 @@ class ReplayEngine {
     return std::nullopt;
   }
 
-  void save_checkpoint(bool alternative) {
-    rec_.active = false;  // speculative stretch: not a verified segment yet
-    checkpoints_.push_back({pc_, val_, shadow_stack_, packet_cursor_,
-                            bit_cursor_, target_cursor_, loop_cursor_,
-                            result_.events.size(), result_.findings.size(),
-                            pre_step_steps_, pre_step_index_hits_,
-                            pre_step_index_fallbacks_, alternative,
-                            state_hash()});
+  /// Is the next unconsumed packet from exactly `source`?
+  bool next_packet_from(Address source) const {
+    return packet_cursor_ < inputs_.packets.size() &&
+           inputs_.packets[packet_cursor_].source == source;
   }
 
-  /// Restore the most recent checkpoint and arm its alternative decision.
-  bool backtrack() {
-    if (checkpoints_.empty() || backtracks_ >= kMaxBacktracks) return false;
-    rec_.active = false;  // the recording anchor no longer matches the state
-    ++backtracks_;
-    // The greedy branch of this checkpoint failed: memoize (state, greedy
-    // decision) so equivalent states elsewhere fail immediately. The greedy
-    // decision is the negation of the armed alternative.
-    const bool failed_decision = !checkpoints_.back().forced_decision;
-    failed_states_.insert(checkpoints_.back().state_hash ^
-                          (failed_decision ? 1u : 0u));
-    if (failed_states_.size() > kMaxFailedStates) {
-      failed_states_.erase(failed_states_.begin());
-    }
-    Snapshot snap = std::move(checkpoints_.back());
-    checkpoints_.pop_back();
-    pc_ = snap.pc;
-    val_ = std::move(snap.val);
-    shadow_stack_ = std::move(snap.shadow_stack);
-    packet_cursor_ = snap.packet_cursor;
-    bit_cursor_ = snap.bit_cursor;
-    target_cursor_ = snap.target_cursor;
-    loop_cursor_ = snap.loop_cursor;
-    result_.events.resize(snap.events_size);
-    result_.findings.resize(snap.findings_size);
-    result_.steps = snap.steps;
-    result_.index_hits = snap.index_hits;
-    result_.index_fallbacks = snap.index_fallbacks;
-    forced_decision_ = snap.forced_decision;
-    pending_failure_.clear();
-    return true;
-  }
-
-  /// Decide a conditional branch at pc_. May checkpoint (RAP ambiguity).
+  /// Decide a conditional branch at pc_.
   std::optional<bool> decide_conditional(const Instruction& in) {
     if (script_) {
       // Checker mode: the script dictates the decision; evidence consistency
@@ -677,51 +560,29 @@ class ReplayEngine {
       const size_t index = result_.events.size();
       return index < script_->size() && (*script_)[index].source == pc_;
     }
-    if (forced_decision_) {
-      const bool decision = *forced_decision_;
-      forced_decision_ = std::nullopt;
-      return decision;
-    }
     switch (mode_) {
       case ReplayMode::Naive:
         // Every taken branch is logged, and any path returning to this site
         // passes through another logged taken branch first: unambiguous.
         memo_note_peek();
-        return packet_cursor_ < inputs_.packets.size() &&
-               inputs_.packets[packet_cursor_].source == pc_;
+        return next_packet_from(pc_);
       case ReplayMode::Rap: {
+        // A Bcc inside MTBAR sits in a CondBoth slot, whose taken edge and
+        // fall-through exit are both logged: decided as in Naive mode.
+        if (in_mtbar(pc_)) return next_packet_from(pc_);
         if (const auto* slot = index_.slot_for_site(pc_)) {
-          memo_note_peek();
+          // The unlogged direction cannot re-reach this site without a
+          // logged branch in between (the rewriter gave every such site a
+          // CondBoth slot), so a packet from this slot next means the
+          // logged direction was taken now, and any other packet means it
+          // was not.
           const bool next_in_slot =
               packet_cursor_ < inputs_.packets.size() &&
               inputs_.packets[packet_cursor_].source >= slot->slot_base &&
               inputs_.packets[packet_cursor_].source < slot->slot_end;
           const bool logged_direction =
               slot->kind != rewrite::SlotKind::CondNotTaken;
-          if (!next_in_slot) {
-            // Certain: had the logged direction been taken, this slot's
-            // packet would be the very next recorded event.
-            return !logged_direction;
-          }
-          // Ambiguous: the packet may belong to a later dynamic instance of
-          // this site. Greedy = attribute it to now; checkpoint the
-          // alternative. The failure memo skips decisions already proven
-          // futile from an identical state. Every exit depends on search
-          // history (failed_states_, the checkpoint), which is outside a
-          // memo segment's footprint, so recording aborts here.
-          rec_.active = false;
-          const u64 here = state_hash();
-          const bool greedy_failed =
-              failed_states_.count(here ^ (logged_direction ? 1u : 0u)) != 0;
-          const bool alt_failed =
-              failed_states_.count(here ^ (logged_direction ? 0u : 1u)) != 0;
-          if (greedy_failed && alt_failed) {
-            fail("no consistent parse from this state");
-            return std::nullopt;
-          }
-          if (greedy_failed) return !logged_direction;
-          if (!alt_failed) save_checkpoint(/*alternative=*/!logged_direction);
-          return logged_direction;
+          return next_in_slot ? logged_direction : !logged_direction;
         }
         return evaluate_shadow(in.cond, val_.flags);
       }
@@ -747,49 +608,16 @@ class ReplayEngine {
   // current state, and (re-)anchors recording. All memoization flows through
   // here; the step itself only feeds the recording via the hooks above.
 
-  /// The loop stream this mode consumes (RAP SVC values or TRACES
-  /// loop-condition values — disjoint, so one slice covers both).
-  const std::vector<u32>& loop_stream() const {
-    return mode_ == ReplayMode::Traces ? inputs_.traces_log.loop_conditions
-                                       : inputs_.loop_values;
-  }
-
   void memo_tick() {
-    if (!pending_failure_.empty()) return;
-    if (forced_decision_) {
-      // A backtracked decision is pending: neither record through it (the
-      // decision comes from search history) nor splice past the site it
-      // targets.
-      rec_.active = false;
-      return;
-    }
     if (rec_.active) {
       if (packet_cursor_ - rec_.entry_packets <
           memo_->options().window_packets) {
         return;
       }
-      if (memo_close(/*halted=*/false)) memo_backoff_ = 0;
+      memo_close(/*halted=*/false);
     }
-    // Futility backoff: checkpoint-dense replays (RAP ambiguity search)
-    // abort recording every few steps, so each re-anchor would pay a full
-    // pack+hash+lookup for a near-certain miss. Consecutive anchors that
-    // neither hit nor insert double a step delay before the next attempt;
-    // any hit or stored segment resets it, so memoizable replays keep
-    // anchoring back-to-back. Capped (and disabled at cap 0) via
-    // MemoOptions::anchor_backoff_cap.
-    if (result_.steps < memo_resume_step_) return;
-    bool hit = false;
     while (memo_try_apply()) {
-      hit = true;
       if (memo_halted_) return;
-    }
-    const u32 backoff_cap = memo_->options().anchor_backoff_cap;
-    if (hit || backoff_cap == 0) {
-      memo_backoff_ = 0;
-    } else {
-      memo_backoff_ = std::min<u32>(
-          memo_backoff_ == 0 ? 1 : memo_backoff_ * 2, backoff_cap);
-      memo_resume_step_ = result_.steps + memo_backoff_;
     }
     memo_begin();
   }
@@ -831,14 +659,13 @@ class ReplayEngine {
 
   /// Package the stretch since the anchor into an immutable segment and
   /// store it. `halted` marks a segment that ends in the clean-halt check
-  /// (exact evidence exhaustion becomes part of its guards). Returns true
-  /// when a segment was handed to the cache (feeds the futility backoff).
-  bool memo_close(bool halted) {
+  /// (exact evidence exhaustion becomes part of its guards).
+  void memo_close(bool halted) {
     const bool was_active = rec_.active;
     rec_.active = false;
-    if (!was_active) return false;
+    if (!was_active) return;
     const u64 steps_delta = result_.steps - rec_.entry_steps;
-    if (steps_delta == 0) return false;  // empty segment would splice nothing
+    if (steps_delta == 0) return;  // empty segment would splice nothing
     auto seg = std::make_shared<MemoSegment>();
     seg->entry_pc = rec_.entry_pc;
     seg->entry_val = rec_.entry_val;
@@ -846,7 +673,7 @@ class ReplayEngine {
     seg->popped = rec_.popped;
     seg->packets.assign(inputs_.packets.begin() + rec_.entry_packets,
                         inputs_.packets.begin() + packet_cursor_);
-    const auto& loops = loop_stream();
+    const auto& loops = inputs_.traces_log.loop_conditions;
     seg->loop_values.assign(loops.begin() + rec_.entry_loops,
                             loops.begin() + loop_cursor_);
     const auto& bits = inputs_.traces_log.direction_bits;
@@ -875,7 +702,6 @@ class ReplayEngine {
     seg->index_fallbacks = result_.index_fallbacks - rec_.entry_index_fallbacks;
     const u64 key = memo_key(seg->entry_pc, seg->entry_val, policy_hash_);
     memo_->insert(key, std::move(seg));
-    return true;
   }
 
   /// Full entry-guard validation of a candidate against the live state.
@@ -912,7 +738,7 @@ class ReplayEngine {
       }
     }
     if (seg.eos_observed && pkt_rem != seg.packets.size()) return false;
-    const auto& loops = loop_stream();
+    const auto& loops = inputs_.traces_log.loop_conditions;
     const size_t loop_rem = loops.size() - loop_cursor_;
     if (seg.halted ? loop_rem != seg.loop_values.size()
                    : loop_rem < seg.loop_values.size()) {
@@ -1020,8 +846,7 @@ bool ReplayEngine::step() {
   };
 
   if (kind == BranchKind::Halt) {
-    // All evidence must be accounted for; leftovers indicate injection or a
-    // wrong parse (the latter triggers backtracking).
+    // All evidence must be accounted for; leftovers indicate injection.
     if (packet_cursor_ != inputs_.packets.size()) {
       fail("unconsumed CF_Log packets at halt");
     } else if (mode_ == ReplayMode::Traces &&
@@ -1180,47 +1005,28 @@ ReplayResult ReplayEngine::run() {
         // A halted segment was spliced: its guards proved the exact
         // clean-halt conditions, so the replay is complete.
         result_.complete = true;
-        result_.backtracks = backtracks_;
         return result_;
       }
     }
-    pre_step_steps_ = result_.steps;
-    pre_step_index_hits_ = result_.index_hits;
-    pre_step_index_fallbacks_ = result_.index_fallbacks;
     ++result_.steps;
-    const bool halted = step();
-    if (halted) {
+    if (step()) {
       if (memo_ != nullptr) memo_close(/*halted=*/true);
       result_.complete = true;
-      result_.backtracks = backtracks_;
       return result_;
     }
-    if (!pending_failure_.empty() && !backtrack()) break;
+    if (!pending_failure_.empty()) break;
   }
-  if (pending_failure_.empty() && result_.steps >= max_steps_) {
-    fail("replay step budget exceeded");
-  }
+  if (pending_failure_.empty()) fail("replay step budget exceeded");
   result_.failure = pending_failure_;
   result_.complete = false;
-  result_.backtracks = backtracks_;
   return result_;
 }
 
 }  // namespace
 
 ReplayResult PathReplayer::replay(const ReplayInputs& inputs, u64 max_steps) {
-  // Pass 1 (strict): search for a finding-free parse — a benign execution
-  // consistent with the evidence. Only when none exists does the lenient
-  // pass attribute findings (the verifier accuses only when every parse of
-  // the evidence is malicious). Both passes share the sub-path memo: its
-  // segments are finding-free, so they behave identically in either.
-  ReplayResult strict_result =
-      ReplayEngine(*index_, entry_, mode_, policy_, inputs, max_steps, nullptr,
-                   /*strict=*/true, memo_)
-          .run();
-  if (strict_result.complete) return strict_result;
   return ReplayEngine(*index_, entry_, mode_, policy_, inputs, max_steps,
-                      nullptr, /*strict=*/false, memo_)
+                      nullptr, memo_)
       .run();
 }
 

@@ -12,18 +12,12 @@
 //
 // The result is the complete sequence of taken branches, comparable against
 // the simulator's ground-truth oracle — the testable definition of
-// "lossless". One caveat the reproduction surfaces about taken-edge-only
-// logging (Fig 5 of the paper): when an if/else's arms silently rejoin and
-// the same site re-executes with no logged branch in between (e.g. repeated
-// calls to a leaf function returning via unmonitored BX LR), the log cannot
-// attribute a slot packet to a specific dynamic instance. The replayer then
-// returns *a* consistent parse; it provably executes the same branch edges
-// with the same multiplicities as the truth (edge-frequency equivalence),
-// and check_path() confirms the true path is itself an accepted parse.
-// Deviations between logged evidence and the
-// shadow call stack (ROP) or the valid-target policy (JOP) are surfaced as
-// attack findings rather than reconstruction failures: CFA's job is to give
-// the Verifier visibility into the malicious path (§II-D).
+// "lossless". Every decision is read off the evidence in one greedy pass:
+// the RAP rewriter makes each logged site decidable from the next packet
+// alone (see SlotKind::CondBoth). Deviations between logged evidence and
+// the shadow call stack (ROP) or the valid-target policy (JOP) are surfaced
+// as attack findings rather than reconstruction failures: CFA's job is to
+// give the Verifier visibility into the malicious path (§II-D).
 #pragma once
 
 #include <set>
@@ -71,11 +65,6 @@ struct ReplayResult {
   /// result comparisons must exclude them (verification_digest does).
   u64 memo_hits = 0;
   u64 memo_misses = 0;
-  /// Backtracking-search telemetry: checkpoints restored during the parse
-  /// search. Deterministic for a given chain — no shared cache state steers
-  /// the search (spliced segments never span a checkpoint) — but not part of
-  /// the verdict, so verification_digest leaves it out.
-  u64 backtracks = 0;
 
   bool clean() const { return complete && findings.empty(); }
 };
@@ -98,19 +87,18 @@ class PathReplayer {
   explicit PathReplayer(const Deployment& deployment);
 
   void set_policy(ReplayPolicy policy) { policy_ = std::move(policy); }
-  /// Attach a verified sub-path cache (normally the Deployment's). replay()
-  /// then splices previously-verified segments instead of re-simulating
-  /// them; verdicts, events, findings and deterministic counters are
-  /// bit-identical either way (tests/test_memo enforces this). check_path()
-  /// never consults the cache — the checker must walk every instruction.
+  /// Attach a verified sub-path cache (normally the Deployment's). Naive and
+  /// TRACES replay() then splices previously-verified segments instead of
+  /// re-simulating them; verdicts, events, findings and deterministic
+  /// counters are bit-identical either way (tests/test_memo enforces this).
+  /// RAP replays and check_path() never consult the cache.
   void set_memo(MemoCache* memo) { memo_ = memo; }
 
   ReplayResult replay(const ReplayInputs& inputs, u64 max_steps = 100'000'000);
 
-  /// Checker mode: instead of searching for a parse, follow `path` (e.g. a
-  /// ground-truth oracle trace) and verify it is consistent with the
-  /// evidence. Used by the losslessness tests: the true path must always be
-  /// an accepted parse of the log.
+  /// Checker mode: instead of reading decisions off the evidence, follow
+  /// `path` (e.g. a ground-truth oracle trace) and verify it is consistent
+  /// with the evidence.
   ReplayResult check_path(const std::vector<trace::OracleEvent>& path,
                           const ReplayInputs& inputs,
                           u64 max_steps = 100'000'000);

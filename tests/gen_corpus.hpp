@@ -1,9 +1,9 @@
-// Generative corpus of checkpoint-dense programs for the memo stack's
-// differential tests. Every program is a parameterized variant of the
-// `leafamb` shape — the worst case for the backtracking search: a leaf
-// whose rare-alarm conditional is RAP-ambiguous because the non-alarm
-// return (BX LR) is unmonitored, so the alarm packet in the slot could
-// belong to ANY dynamic instance in the current unmonitored call run.
+// Generative corpus of silent-rejoin programs for the "rewriter leaves no
+// ambiguity" property test. Every program is a parameterized leaf whose
+// rare-alarm conditional would be ambiguous under taken-edge-only logging,
+// because the non-alarm return (BX LR) is unmonitored: the alarm packet
+// could belong to ANY dynamic instance in the current unmonitored call run.
+// The rewriter must give that conditional a CondBoth slot.
 //
 // The grid varies three structural axes plus a seed:
 //   * nesting depth   — calls reach the leaf through 0..2 wrapper
@@ -14,23 +14,15 @@
 //     conditional fires every `alarm_every`-th call, repeatedly;
 //   * loop shape      — what the alarm arm burns steps on: a counted
 //     spin (statically-deterministic simple loop), a nested two-level
-//     loop, or straight-line code. Different shapes change how quickly
-//     a greedy misattribution is refuted;
+//     loop, or straight-line code;
 //   * seed            — perturbs call counts and spin bounds, so equal
 //     grid points still produce distinct programs.
-//
-// The header is intentionally self-contained and cheap: `corpus_source`
-// for harnesses that assemble locally (test_replayer_search), and
-// `corpus_app` for the full prover pipeline (test_memo).
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "apps/app.hpp"
-#include "apps/peripherals.hpp"
-#include "sim/machine.hpp"
+#include "common/types.hpp"
 
 namespace raptrack::gen {
 
@@ -151,23 +143,6 @@ alarm:
 __code_end:
 )asm";
   return s;
-}
-
-/// Full App wrapper for the prover pipeline (apps::prepare_app + run_*).
-/// No peripheral stimulus: the path is a function of the grid point alone,
-/// so every differential harness replays byte-identical evidence.
-inline apps::App corpus_app(const GenParams& p) {
-  apps::App app;
-  app.name = corpus_name(p);
-  app.description = "generated checkpoint-dense leaf-ambiguity program";
-  app.source = corpus_source(p);
-  app.setup = [](sim::Machine& machine, u64) {
-    auto periph = std::make_shared<apps::Peripherals>();
-    periph->attach(machine);
-    return periph;
-  };
-  app.check = [](sim::Machine&, const apps::Peripherals&, u64) { return true; };
-  return app;
 }
 
 /// The full parameter grid: 3 depths x 3 alarm densities x 3 loop shapes

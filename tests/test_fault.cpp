@@ -11,7 +11,6 @@
 #include <map>
 
 #include "fault/campaign.hpp"
-#include "lossless_helpers.hpp"
 #include "net/endpoint.hpp"
 #include "obs/metrics.hpp"
 #include "verify/farm.hpp"
@@ -51,10 +50,7 @@ TEST(FaultCampaign, CleanRunsAcceptWithLosslessReconstruction) {
     EXPECT_FALSE(outcome.fault_effective);
     EXPECT_TRUE(outcome.result.chain_ok);
     EXPECT_TRUE(outcome.result.gaps.empty());
-    EXPECT_TRUE(raptrack::testing::rap_lossless_up_to_attribution(
-        prepared.rap.program, prepared.rap.manifest, prepared.built.entry,
-        outcome.result, clean.oracle))
-        << name;
+    EXPECT_EQ(outcome.result.replay.events, clean.oracle) << name;
   }
 }
 

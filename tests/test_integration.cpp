@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "apps/runner.hpp"
-#include "lossless_helpers.hpp"
 
 namespace raptrack {
 namespace {
@@ -41,12 +40,8 @@ TEST_F(IntegrationTest, RapTrackFullProtocolAccepts) {
   EXPECT_TRUE(result.policy_ok) << result.detail;
   EXPECT_TRUE(result.accepted());
 
-  // Losslessness: the reconstructed branch history matches the ground truth
-  // (up to silent-rejoin attribution; see lossless_helpers.hpp).
-  ASSERT_EQ(result.replay.events.size(), run.oracle.size());
-  EXPECT_TRUE(raptrack::testing::rap_lossless_up_to_attribution(
-      gps().rap.program, gps().rap.manifest, gps().built.entry, result,
-      run.oracle));
+  // Losslessness: the reconstructed branch history matches the ground truth.
+  EXPECT_EQ(result.replay.events, run.oracle);
 }
 
 TEST_F(IntegrationTest, NaiveMtbFullProtocolAccepts) {

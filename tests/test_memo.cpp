@@ -6,14 +6,13 @@
 // verification_digest() — a canonical SHA-256 over verdict, flags, detail,
 // gaps, notes, events, findings, counters and decoded evidence — so any
 // divergence, however subtle, is a byte-level failure:
-//   * ~200 fuzzed transport-fault plans across two apps (the fault-campaign
-//     injector set), cold and warm;
-//   * every registry app, cold cache then warm cache (warm must actually
-//     hit);
+//   * ~400 fuzzed transport-fault plans across two apps x {naive, TRACES}
+//     (the fault-campaign injector set), cold and warm;
+//   * every registry app x {naive, TRACES}, cold cache then warm cache
+//     (warm must actually hit);
 //   * eviction under a tiny byte budget (pressure must not corrupt results);
 //   * concurrent farm workers warming one shared cache (run under the
 //     `concurrency` label; the tsan preset builds this with TSan);
-//   * the 216-program generative grid, memo off vs on vs warm-restored;
 //   * MEM1 warm-start snapshots: round-trip, corruption, version refusal.
 #include <gtest/gtest.h>
 
@@ -29,7 +28,6 @@
 #include "common/crc32.hpp"
 #include "common/hex.hpp"
 #include "fault/campaign.hpp"
-#include "gen_corpus.hpp"
 #include "obs/metrics.hpp"
 #include "verify/farm.hpp"
 #include "verify/memo.hpp"
@@ -51,6 +49,56 @@ using verify::verification_digest;
 
 std::string digest_hex(const VerificationResult& result) {
   return hex_digest(verification_digest(result));
+}
+
+// The two methods whose replays use the cache.
+enum class Method { Naive, Traces };
+
+const char* method_name(Method method) {
+  return method == Method::Naive ? "naive" : "traces";
+}
+
+/// One clean attested chain under campaign-sized buffers: a small MTB and a
+/// 128-byte watermark (naive), or a 128-byte Secure log (TRACES), so both
+/// methods produce multi-report chains.
+struct MethodChain {
+  cfa::Challenge chal{};
+  std::vector<cfa::SignedReport> reports;
+  bool functional_ok = false;
+};
+
+constexpr u32 kChunkBytes = 128;
+
+MethodChain attest(const PreparedApp& prepared, Method method) {
+  const fault::CampaignOptions options;
+  MethodChain out;
+  out.chal = fault::campaign_challenge(options.app_seed);
+  const sim::MachineConfig config{.mtb_buffer_bytes = options.mtb_buffer_bytes};
+  const apps::MethodRun run =
+      method == Method::Naive
+          ? apps::run_naive(prepared, options.app_seed, config,
+                            {.watermark_bytes = kChunkBytes}, out.chal)
+          : apps::run_traces(prepared, options.app_seed, config,
+                             {.traces_capacity_bytes = kChunkBytes}, out.chal);
+  out.reports = run.attestation.reports;
+  out.functional_ok = run.functional_ok;
+  return out;
+}
+
+std::shared_ptr<const Deployment> deploy(const PreparedApp& prepared,
+                                         Method method,
+                                         const MemoOptions& memo = {}) {
+  return method == Method::Naive
+             ? Deployment::naive(prepared.built.program, prepared.built.entry,
+                                 memo)
+             : Deployment::traces(prepared.traces.program,
+                                  prepared.traces.manifest,
+                                  prepared.built.entry, memo);
+}
+
+/// The §IV-E watermark-shape check applies to MTB chains only.
+u32 watermark_for(Method method) {
+  return method == Method::Naive ? kChunkBytes : 0;
 }
 
 // Verify `chain` against `deployment` with the memo cache on or off. A
@@ -166,7 +214,7 @@ TEST(MemoCacheUnit, ByteHighWaterMarkStaysUnderBudgetAcrossTiers) {
       << "some insert transiently overshot the byte budget";
 }
 
-// -- fuzzed-chain differential (the ~200-plan fault campaign) -----------------
+// -- fuzzed-chain differential (the fault-campaign transport injectors) ------
 
 struct Case {
   size_t app = 0;
@@ -177,43 +225,43 @@ struct Case {
 
 struct Corpus {
   std::vector<std::shared_ptr<const Deployment>> deployments;
-  u32 watermark = 0;
+  std::vector<u32> watermarks;  ///< per deployment
   std::vector<Case> cases;
 };
 
-// Same corpus shape as the farm differential: per app, the clean chain plus
-// every transport injector at several seeds.
+// Same corpus shape as the farm differential, over naive and TRACES chains:
+// per (app, method), the clean chain plus every transport injector at
+// several seeds.
 const Corpus& corpus() {
   static const Corpus corpus = [] {
     Corpus out;
-    const fault::CampaignOptions options;
-    out.watermark = options.watermark_bytes;
     constexpr u64 kSeedsPerKind = 8;
     for (const char* name : {"gps", "temperature"}) {
       const PreparedApp prepared = apps::prepare_app(apps::app_by_name(name));
-      const AttestedRun clean = fault::attest_once(prepared, options);
-      EXPECT_TRUE(clean.functional_ok) << name;
-      const size_t app = out.deployments.size();
-      out.deployments.push_back(Deployment::rap(
-          prepared.rap.program, prepared.rap.manifest, prepared.built.entry));
-      out.cases.push_back(
-          {app, clean.chal, clean.reports, std::string(name) + "/clean"});
-      for (const InjectorKind kind : fault::transport_injectors()) {
-        for (u64 seed = 1; seed <= kSeedsPerKind; ++seed) {
-          FaultPlan plan(seed);
-          plan.add(kind);
-          std::vector<cfa::SignedReport> chain = clean.reports;
-          if (kind == InjectorKind::WireBitFlip) {
-            auto survived = fault::apply_wire_fault(plan, chain);
-            if (!survived.has_value()) continue;
-            chain = std::move(*survived);
-          } else {
-            fault::apply_transport_faults(plan, chain);
+      for (const Method method : {Method::Naive, Method::Traces}) {
+        const std::string tag = std::string(name) + "/" + method_name(method);
+        const MethodChain clean = attest(prepared, method);
+        EXPECT_TRUE(clean.functional_ok) << tag;
+        const size_t app = out.deployments.size();
+        out.deployments.push_back(deploy(prepared, method));
+        out.watermarks.push_back(watermark_for(method));
+        out.cases.push_back({app, clean.chal, clean.reports, tag + "/clean"});
+        for (const InjectorKind kind : fault::transport_injectors()) {
+          for (u64 seed = 1; seed <= kSeedsPerKind; ++seed) {
+            FaultPlan plan(seed);
+            plan.add(kind);
+            std::vector<cfa::SignedReport> chain = clean.reports;
+            if (kind == InjectorKind::WireBitFlip) {
+              auto survived = fault::apply_wire_fault(plan, chain);
+              if (!survived.has_value()) continue;
+              chain = std::move(*survived);
+            } else {
+              fault::apply_transport_faults(plan, chain);
+            }
+            out.cases.push_back({app, clean.chal, std::move(chain),
+                                 tag + "/" + fault::injector_name(kind) + "/" +
+                                     std::to_string(seed)});
           }
-          out.cases.push_back({app, clean.chal, std::move(chain),
-                               std::string(name) + "/" +
-                                   fault::injector_name(kind) + "/" +
-                                   std::to_string(seed)});
         }
       }
     }
@@ -227,17 +275,17 @@ TEST(MemoDifferential, FuzzedFaultPlansMatchUnmemoizedDigests) {
   ASSERT_GE(fuzz.cases.size(), 200u)
       << "fault-plan corpus shrank below the differential coverage floor";
 
-  // Fresh deployments for the memoized side so this test controls its own
-  // cache warmth (the corpus deployments are shared with other tests).
   size_t accepts = 0;
   for (const Case& c : fuzz.cases) {
-    const VerificationResult plain = run_verify(
-        fuzz.deployments[c.app], fuzz.watermark, c.chal, c.chain, false);
+    const auto& deployment = fuzz.deployments[c.app];
+    const u32 watermark = fuzz.watermarks[c.app];
+    const VerificationResult plain =
+        run_verify(deployment, watermark, c.chal, c.chain, false);
     // Twice memoized: cold-ish (whatever earlier cases warmed) and warm.
-    const VerificationResult memo1 = run_verify(
-        fuzz.deployments[c.app], fuzz.watermark, c.chal, c.chain, true);
-    const VerificationResult memo2 = run_verify(
-        fuzz.deployments[c.app], fuzz.watermark, c.chal, c.chain, true);
+    const VerificationResult memo1 =
+        run_verify(deployment, watermark, c.chal, c.chain, true);
+    const VerificationResult memo2 =
+        run_verify(deployment, watermark, c.chal, c.chain, true);
     EXPECT_EQ(digest_hex(memo1), digest_hex(plain)) << c.label;
     EXPECT_EQ(digest_hex(memo2), digest_hex(plain)) << c.label << " (warm)";
     if (plain.accepted()) ++accepts;
@@ -252,67 +300,101 @@ TEST(MemoDifferential, FuzzedFaultPlansMatchUnmemoizedDigests) {
   }
 }
 
+// RAP replays never attach the cache, even when the verifier asks for it.
+TEST(MemoDifferential, RapReplaysLeaveTheCacheUntouched) {
+  const fault::CampaignOptions options;
+  const PreparedApp prepared = apps::prepare_app(apps::app_by_name("gps"));
+  const AttestedRun clean = fault::attest_once(prepared, options);
+  ASSERT_TRUE(clean.functional_ok);
+  const auto deployment = Deployment::rap(
+      prepared.rap.program, prepared.rap.manifest, prepared.built.entry);
+  const VerificationResult plain = run_verify(
+      deployment, options.watermark_bytes, clean.chal, clean.reports, false);
+  ASSERT_TRUE(plain.accepted()) << plain.detail;
+  for (int round = 0; round < 2; ++round) {
+    const VerificationResult memo = run_verify(
+        deployment, options.watermark_bytes, clean.chal, clean.reports, true);
+    EXPECT_EQ(digest_hex(memo), digest_hex(plain));
+    EXPECT_EQ(memo.replay.memo_hits + memo.replay.memo_misses, 0u);
+  }
+  const verify::MemoStats stats = deployment->memo().stats();
+  EXPECT_EQ(stats.inserts, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, 0u);
+}
+
 // -- registry-wide app differential -------------------------------------------
 
 TEST(MemoDifferential, EveryRegistryAppWarmCacheMatchesAndHits) {
-  const fault::CampaignOptions options;
-  // RAP replay aborts recording at every ambiguous-branch checkpoint, and
-  // the futility backoff then anchors sparsely; short windows plus backoff
-  // disabled keep enough abort-free stretches recordable that the warm-hit
-  // assertion stays meaningful on the RAP path (digest equality holds for
-  // any window/backoff setting — only traffic volume changes).
-  const MemoOptions short_window{.window_packets = 4, .anchor_backoff_cap = 0};
+  // Short windows cut naive chains into many segments, so the warm replay
+  // splices a chain of them (digest equality holds for any window setting;
+  // only traffic volume changes).
+  const MemoOptions short_window{.window_packets = 4};
   for (const auto& app : apps::app_registry()) {
     const PreparedApp prepared = apps::prepare_app(app);
-    const AttestedRun clean = fault::attest_once(prepared, options);
-    ASSERT_TRUE(clean.functional_ok) << app.name;
-    const auto deployment =
-        Deployment::rap(prepared.rap.program, prepared.rap.manifest,
-                        prepared.built.entry, short_window);
+    for (const Method method : {Method::Naive, Method::Traces}) {
+      const std::string tag = app.name + "/" + method_name(method);
+      const MethodChain clean = attest(prepared, method);
+      ASSERT_TRUE(clean.functional_ok) << tag;
+      const auto deployment = deploy(prepared, method, short_window);
+      const u32 watermark = watermark_for(method);
 
-    const VerificationResult plain = run_verify(
-        deployment, options.watermark_bytes, clean.chal, clean.reports, false);
-    ASSERT_TRUE(plain.accepted()) << app.name << ": " << plain.detail;
-    const VerificationResult cold = run_verify(
-        deployment, options.watermark_bytes, clean.chal, clean.reports, true);
-    const VerificationResult warm = run_verify(
-        deployment, options.watermark_bytes, clean.chal, clean.reports, true);
-    EXPECT_EQ(digest_hex(cold), digest_hex(plain)) << app.name << " cold";
-    EXPECT_EQ(digest_hex(warm), digest_hex(plain)) << app.name << " warm";
-    if constexpr (verify::kMemoEnabled) {
-      EXPECT_GT(warm.replay.memo_hits, 0u)
-          << app.name << ": repeated replay never hit the cache";
+      const VerificationResult plain =
+          run_verify(deployment, watermark, clean.chal, clean.reports, false);
+      ASSERT_TRUE(plain.accepted()) << tag << ": " << plain.detail;
+      const VerificationResult cold =
+          run_verify(deployment, watermark, clean.chal, clean.reports, true);
+      const VerificationResult warm =
+          run_verify(deployment, watermark, clean.chal, clean.reports, true);
+      EXPECT_EQ(digest_hex(cold), digest_hex(plain)) << tag << " cold";
+      EXPECT_EQ(digest_hex(warm), digest_hex(plain)) << tag << " warm";
+      if constexpr (verify::kMemoEnabled) {
+        EXPECT_GT(warm.replay.memo_hits, 0u)
+            << tag << ": repeated replay never hit the cache";
+      }
     }
   }
 }
 
 // -- eviction under pressure --------------------------------------------------
 
+/// The gps naive chain every single-chain test below replays.
+struct GpsNaive {
+  PreparedApp prepared;
+  MethodChain clean;
+};
+
+const GpsNaive& gps_naive() {
+  static const GpsNaive fx = [] {
+    GpsNaive out{apps::prepare_app(apps::app_by_name("gps")), {}};
+    out.clean = attest(out.prepared, Method::Naive);
+    return out;
+  }();
+  return fx;
+}
+
+VerificationResult verify_gps(std::shared_ptr<const Deployment> deployment,
+                              bool memo) {
+  const GpsNaive& fx = gps_naive();
+  return run_verify(std::move(deployment), kChunkBytes, fx.clean.chal,
+                    fx.clean.reports, memo);
+}
+
 TEST(MemoEviction, TinyBudgetEvictsWithoutChangingDigests) {
-  const fault::CampaignOptions options;
-  const PreparedApp prepared = apps::prepare_app(apps::app_by_name("gps"));
-  const AttestedRun clean = fault::attest_once(prepared, options);
-  ASSERT_TRUE(clean.functional_ok);
+  const GpsNaive& fx = gps_naive();
+  ASSERT_TRUE(fx.clean.functional_ok);
   // A cache far too small for the run: short windows make many segments and
   // a ~2 KiB budget forces continuous eviction while verifying.
   const MemoOptions tiny{.shards = 1,
                          .slots_per_shard = 8,
                          .budget_bytes = 2048,
                          .window_packets = 4};
-  const auto pressured =
-      Deployment::rap(prepared.rap.program, prepared.rap.manifest,
-                      prepared.built.entry, tiny);
-  const auto roomy = Deployment::rap(prepared.rap.program,
-                                     prepared.rap.manifest,
-                                     prepared.built.entry);
+  const auto pressured = deploy(fx.prepared, Method::Naive, tiny);
+  const auto roomy = deploy(fx.prepared, Method::Naive);
 
-  const VerificationResult plain = run_verify(
-      roomy, options.watermark_bytes, clean.chal, clean.reports, false);
+  const VerificationResult plain = verify_gps(roomy, false);
   ASSERT_TRUE(plain.accepted()) << plain.detail;
   for (int round = 0; round < 4; ++round) {
-    const VerificationResult squeezed =
-        run_verify(pressured, options.watermark_bytes, clean.chal,
-                   clean.reports, true);
+    const VerificationResult squeezed = verify_gps(pressured, true);
     EXPECT_EQ(digest_hex(squeezed), digest_hex(plain)) << "round " << round;
   }
   if constexpr (verify::kMemoEnabled) {
@@ -327,33 +409,27 @@ TEST(MemoEviction, TinyBudgetEvictsWithoutChangingDigests) {
 // -- concurrent farm workers sharing one cache --------------------------------
 
 TEST(MemoConcurrency, FarmWorkersWarmOneCacheAndMatchSerial) {
-  const fault::CampaignOptions options;
-  const PreparedApp prepared = apps::prepare_app(apps::app_by_name("gps"));
-  const AttestedRun clean = fault::attest_once(prepared, options);
-  ASSERT_TRUE(clean.functional_ok);
-  // Short windows + no backoff for the same reason as the registry
-  // differential above: they guarantee cache traffic on this
-  // checkpoint-dense RAP chain, which is what makes the shared-cache
-  // hit/insert assertions below meaningful.
-  const auto deployment = Deployment::rap(
-      prepared.rap.program, prepared.rap.manifest, prepared.built.entry,
-      MemoOptions{.window_packets = 4, .anchor_backoff_cap = 0});
+  const GpsNaive& fx = gps_naive();
+  ASSERT_TRUE(fx.clean.functional_ok);
+  // Short windows guarantee cache traffic, which is what makes the
+  // shared-cache hit/insert assertions below meaningful.
+  const auto deployment =
+      deploy(fx.prepared, Method::Naive, MemoOptions{.window_packets = 4});
 
-  const VerificationResult plain = run_verify(
-      deployment, options.watermark_bytes, clean.chal, clean.reports, false);
+  const VerificationResult plain = verify_gps(deployment, false);
   ASSERT_TRUE(plain.accepted()) << plain.detail;
   const std::string expected = digest_hex(plain);
 
   verify::VerifierFarm farm(apps::demo_key(),
                             {.workers = 4, .clamp_workers = false});
   verify::VerifyConfig config;
-  config.expected_watermark = options.watermark_bytes;
+  config.expected_watermark = kChunkBytes;
   constexpr size_t kDevices = 48;
   std::vector<std::future<VerificationResult>> results;
   for (size_t device = 0; device < kDevices; ++device) {
     farm.provision(device, deployment, config);
-    farm.adopt_challenge(device, clean.chal);
-    results.push_back(farm.submit(device, clean.chal, clean.reports));
+    farm.adopt_challenge(device, fx.clean.chal);
+    results.push_back(farm.submit(device, fx.clean.chal, fx.clean.reports));
   }
   farm.drain();
   for (size_t device = 0; device < kDevices; ++device) {
@@ -368,128 +444,6 @@ TEST(MemoConcurrency, FarmWorkersWarmOneCacheAndMatchSerial) {
   }
 }
 
-// -- generative checkpoint-dense corpus (gen_corpus.hpp) ----------------------
-
-// The generative grid runs the full prover pipeline with the bench's
-// checkpoint-dense transport shape: a small MTB and a 128-byte watermark
-// chop every run into many short reports, maximizing RAP-ambiguity density
-// on the verifier side.
-constexpr u32 kGenWatermark = 128;
-
-struct GenChain {
-  /// Stable-address App: PreparedApp keeps a pointer into it (run_* calls
-  /// app->setup), so it must outlive every run and survive GenChain moves.
-  std::shared_ptr<apps::App> app;
-  PreparedApp prepared;
-  cfa::Challenge chal{};
-  std::vector<cfa::SignedReport> chain;
-  bool ok = false;
-};
-
-GenChain attest_gen(const gen::GenParams& p) {
-  GenChain out;
-  out.app = std::make_shared<apps::App>(gen::corpus_app(p));
-  out.prepared = apps::prepare_app(*out.app);
-  out.chal = fault::campaign_challenge(p.seed * 977 + 1);
-  const apps::MethodRun run = apps::run_rap(
-      out.prepared, p.seed, sim::MachineConfig{.mtb_buffer_bytes = 256},
-      cfa::SessionOptions{.watermark_bytes = kGenWatermark}, out.chal);
-  out.chain = run.attestation.reports;
-  out.ok = run.functional_ok && !out.chain.empty();
-  return out;
-}
-
-std::shared_ptr<const Deployment> gen_deployment(const GenChain& c,
-                                                 const MemoOptions& options) {
-  return Deployment::rap(c.prepared.rap.program, c.prepared.rap.manifest,
-                         c.prepared.built.entry, options);
-}
-
-// The referee for the backtracking search under memoization: across the
-// whole parameter grid (>= 200 synthesized programs), verification_digest()
-// is byte-identical with {memo off}, {memo on, three warming rounds} and
-// {warm restart: snapshot -> fresh deployment -> restore}. Any unsound
-// splice or snapshot corruption shows up as a digest divergence on some
-// grid point. Programs are independent (each owns its deployments), so the
-// grid fans out across threads; under the `concurrency` label the tsan
-// preset drives this as a multi-threaded differential.
-TEST(MemoGenCorpus, GridDigestsInvariantAcrossMemoModes) {
-  const std::vector<gen::GenParams> grid = gen::corpus_grid();
-  ASSERT_GE(grid.size(), 200u)
-      << "generative grid shrank below the acceptance floor";
-
-  const MemoOptions dense{.window_packets = 4, .anchor_backoff_cap = 0};
-  std::atomic<u64> segment_hits{0};
-  const auto run_one = [&](const gen::GenParams& p) -> std::string {
-    const std::string name = gen::corpus_name(p);
-    const GenChain c = attest_gen(p);
-    if (!c.ok) return name + ": prover run failed";
-    const auto d = gen_deployment(c, dense);
-    const VerificationResult plain =
-        run_verify(d, kGenWatermark, c.chal, c.chain, false);
-    if (!plain.accepted()) {
-      return name + ": plain verify rejected: " + plain.detail;
-    }
-    const std::string want = digest_hex(plain);
-    const auto check = [&](const VerificationResult& r,
-                           const char* mode) -> std::string {
-      if (digest_hex(r) != want) {
-        return name + ": digest diverged under " + mode;
-      }
-      return {};
-    };
-    std::string err;
-    for (int round = 0; round < 3 && err.empty(); ++round) {
-      err = check(run_verify(d, kGenWatermark, c.chal, c.chain, true),
-                  "memo on");
-    }
-    if (!err.empty()) return err;
-    const auto fresh = gen_deployment(c, dense);
-    if constexpr (verify::kMemoEnabled) {
-      const std::vector<u8> blob = d->memo().serialize_warm();
-      if (blob.empty() || !fresh->memo().restore_warm(blob)) {
-        return name + ": warm snapshot did not restore";
-      }
-    }
-    err = check(run_verify(fresh, kGenWatermark, c.chal, c.chain, true),
-                "warm restart");
-    if (!err.empty()) return err;
-    segment_hits += d->memo().stats().hits + fresh->memo().stats().hits;
-    return {};
-  };
-
-  const size_t workers = std::min<size_t>(
-      std::max(std::thread::hardware_concurrency(), 2u), 8);
-  std::atomic<size_t> next{0};
-  std::atomic<size_t> completed{0};
-  std::vector<std::future<std::vector<std::string>>> slices;
-  for (size_t w = 0; w < workers; ++w) {
-    slices.push_back(std::async(std::launch::async, [&] {
-      std::vector<std::string> errors;
-      for (size_t i = next.fetch_add(1); i < grid.size();
-           i = next.fetch_add(1)) {
-        std::string err = run_one(grid[i]);
-        if (err.empty()) {
-          ++completed;
-        } else {
-          errors.push_back(std::move(err));
-        }
-      }
-      return errors;
-    }));
-  }
-  std::vector<std::string> errors;
-  for (auto& slice : slices) {
-    for (std::string& err : slice.get()) errors.push_back(std::move(err));
-  }
-  for (const std::string& err : errors) ADD_FAILURE() << err;
-  EXPECT_EQ(completed.load(), grid.size());
-  if constexpr (verify::kMemoEnabled) {
-    EXPECT_GT(segment_hits.load(), 0u)
-        << "no segment ever spliced anywhere in the grid";
-  }
-}
-
 // -- warm snapshot / restore --------------------------------------------------
 
 // The acceptance criterion for persistent warm start: snapshot a warmed
@@ -498,28 +452,19 @@ TEST(MemoGenCorpus, GridDigestsInvariantAcrossMemoModes) {
 // digest and (b) reach at least 80% of the steady-state hit rate.
 TEST(MemoWarmRestart, SnapshotRestoreKeepsDigestsAndHitRate) {
   if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
-  const fault::CampaignOptions options;
-  const PreparedApp prepared = apps::prepare_app(apps::app_by_name("gps"));
-  const AttestedRun clean = fault::attest_once(prepared, options);
-  ASSERT_TRUE(clean.functional_ok);
-  const MemoOptions dense{.window_packets = 4, .anchor_backoff_cap = 0};
-  const auto warm_deployment = Deployment::rap(
-      prepared.rap.program, prepared.rap.manifest, prepared.built.entry,
-      dense);
+  const GpsNaive& fx = gps_naive();
+  ASSERT_TRUE(fx.clean.functional_ok);
+  const MemoOptions dense{.window_packets = 4};
+  const auto warm_deployment = deploy(fx.prepared, Method::Naive, dense);
 
-  const VerificationResult plain =
-      run_verify(warm_deployment, options.watermark_bytes, clean.chal,
-                 clean.reports, false);
+  const VerificationResult plain = verify_gps(warm_deployment, false);
   ASSERT_TRUE(plain.accepted()) << plain.detail;
 
   // Warm up, then measure the steady-state hit deltas of one session.
-  run_verify(warm_deployment, options.watermark_bytes, clean.chal,
-             clean.reports, true);
-  run_verify(warm_deployment, options.watermark_bytes, clean.chal,
-             clean.reports, true);
+  verify_gps(warm_deployment, true);
+  verify_gps(warm_deployment, true);
   const verify::MemoStats before = warm_deployment->memo().stats();
-  run_verify(warm_deployment, options.watermark_bytes, clean.chal,
-             clean.reports, true);
+  verify_gps(warm_deployment, true);
   const verify::MemoStats after = warm_deployment->memo().stats();
   const u64 steady_hits = after.hits - before.hits;
   ASSERT_GT(steady_hits, 0u) << "steady state never hits: test is vacuous";
@@ -529,16 +474,11 @@ TEST(MemoWarmRestart, SnapshotRestoreKeepsDigestsAndHitRate) {
 
   // "Restart": a brand-new deployment of the same image, restored from the
   // snapshot, must serve the first session nearly as well as steady state.
-  const auto restored = Deployment::rap(prepared.rap.program,
-                                        prepared.rap.manifest,
-                                        prepared.built.entry, dense);
+  const auto restored = deploy(fx.prepared, Method::Naive, dense);
   ASSERT_TRUE(restored->memo().restore_warm(blob));
-  const VerificationResult first =
-      run_verify(restored, options.watermark_bytes, clean.chal, clean.reports,
-                 true);
+  const VerificationResult first = verify_gps(restored, true);
   EXPECT_EQ(digest_hex(first), digest_hex(plain)) << "post-restore digest";
-  const verify::MemoStats fresh = restored->memo().stats();
-  const u64 restored_hits = fresh.hits;
+  const u64 restored_hits = restored->memo().stats().hits;
   EXPECT_GE(static_cast<double>(restored_hits),
             0.8 * static_cast<double>(steady_hits))
       << "warm-restored start fell below 80% of the steady-state hit rate ("
@@ -549,29 +489,21 @@ TEST(MemoWarmRestart, SnapshotRestoreKeepsDigestsAndHitRate) {
 // stays cold (never half-loaded) and verification stays byte-correct.
 TEST(MemoWarmRestart, CorruptSnapshotDegradesToColdNeverWrongVerdict) {
   if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
-  const fault::CampaignOptions options;
-  const PreparedApp prepared = apps::prepare_app(apps::app_by_name("gps"));
-  const AttestedRun clean = fault::attest_once(prepared, options);
-  ASSERT_TRUE(clean.functional_ok);
-  const MemoOptions dense{.window_packets = 4, .anchor_backoff_cap = 0};
-  const auto source = Deployment::rap(prepared.rap.program,
-                                      prepared.rap.manifest,
-                                      prepared.built.entry, dense);
-  const VerificationResult plain = run_verify(
-      source, options.watermark_bytes, clean.chal, clean.reports, false);
-  run_verify(source, options.watermark_bytes, clean.chal, clean.reports, true);
+  const GpsNaive& fx = gps_naive();
+  ASSERT_TRUE(fx.clean.functional_ok);
+  const MemoOptions dense{.window_packets = 4};
+  const auto source = deploy(fx.prepared, Method::Naive, dense);
+  const VerificationResult plain = verify_gps(source, false);
+  verify_gps(source, true);
   const std::vector<u8> good = source->memo().serialize_warm();
   ASSERT_GT(good.size(), 16u);
 
   const auto expect_cold_refusal = [&](std::vector<u8> bad,
                                        const std::string& label) {
-    const auto victim = Deployment::rap(prepared.rap.program,
-                                        prepared.rap.manifest,
-                                        prepared.built.entry, dense);
+    const auto victim = deploy(fx.prepared, Method::Naive, dense);
     EXPECT_FALSE(victim->memo().restore_warm(bad)) << label;
     EXPECT_EQ(victim->memo().stats().entries, 0u) << label << ": half-loaded";
-    const VerificationResult result = run_verify(
-        victim, options.watermark_bytes, clean.chal, clean.reports, true);
+    const VerificationResult result = verify_gps(victim, true);
     EXPECT_EQ(digest_hex(result), digest_hex(plain)) << label;
   };
 
@@ -585,9 +517,7 @@ TEST(MemoWarmRestart, CorruptSnapshotDegradesToColdNeverWrongVerdict) {
   expect_cold_refusal(std::move(wrong_magic), "wrong magic");
 
   // The intact blob still restores after all the refusals.
-  const auto victim = Deployment::rap(prepared.rap.program,
-                                      prepared.rap.manifest,
-                                      prepared.built.entry, dense);
+  const auto victim = deploy(fx.prepared, Method::Naive, dense);
   EXPECT_TRUE(victim->memo().restore_warm(good));
   EXPECT_GT(victim->memo().stats().entries, 0u);
 }
@@ -650,29 +580,24 @@ TEST(MemoWarmRestart, RestoredGuardsNeverSpliceAgainstForeignEvidence) {
   ASSERT_NE(faulted, nullptr);
   const Case& clean = fuzz.cases[0];
   ASSERT_EQ(clean.app, 0u);
+  const u32 watermark = fuzz.watermarks[0];
 
-  const PreparedApp prepared = apps::prepare_app(apps::app_by_name("gps"));
-  const MemoOptions dense{.window_packets = 4, .anchor_backoff_cap = 0};
-  const auto warm =
-      Deployment::rap(prepared.rap.program, prepared.rap.manifest,
-                      prepared.built.entry, dense);
+  const GpsNaive& fx = gps_naive();
+  const MemoOptions dense{.window_packets = 4};
+  const auto warm = deploy(fx.prepared, Method::Naive, dense);
   for (int round = 0; round < 3; ++round) {
-    run_verify(warm, fuzz.watermark, clean.chal, clean.chain, true);
+    run_verify(warm, watermark, clean.chal, clean.chain, true);
   }
   const std::vector<u8> blob = warm->memo().serialize_warm();
   ASSERT_FALSE(blob.empty());
 
-  const auto cold =
-      Deployment::rap(prepared.rap.program, prepared.rap.manifest,
-                      prepared.built.entry, dense);
-  const VerificationResult want = run_verify(
-      cold, fuzz.watermark, faulted->chal, faulted->chain, false);
-  const auto restored =
-      Deployment::rap(prepared.rap.program, prepared.rap.manifest,
-                      prepared.built.entry, dense);
+  const auto cold = deploy(fx.prepared, Method::Naive, dense);
+  const VerificationResult want =
+      run_verify(cold, watermark, faulted->chal, faulted->chain, false);
+  const auto restored = deploy(fx.prepared, Method::Naive, dense);
   ASSERT_TRUE(restored->memo().restore_warm(blob));
-  const VerificationResult got = run_verify(
-      restored, fuzz.watermark, faulted->chal, faulted->chain, true);
+  const VerificationResult got =
+      run_verify(restored, watermark, faulted->chal, faulted->chain, true);
   EXPECT_EQ(digest_hex(got), digest_hex(want)) << faulted->label;
 }
 

@@ -282,7 +282,9 @@ TEST(NetSession, NackRepairConvertsInconclusiveToAccept) {
   VerifierFarm farm(apps::demo_key(), {.workers = 2, .clamp_workers = false});
   provision(farm, /*device=*/30);
   VerifierEndpoint endpoint(farm);
-  DuplexLink link(LinkModel{}, LinkModel{}, /*seed=*/3);
+  // A fixed one-tick delay delivers frames in send order, so the final
+  // report lands after every interior one whatever the chain length.
+  DuplexLink link(LinkModel{.delay_max_ticks = 1}, LinkModel{}, /*seed=*/3);
 
   const auto send_report = [&](const cfa::SignedReport& report) {
     Datagram dgram;
@@ -568,24 +570,30 @@ TEST(NetRecovery, SnapshotRestoreMidSessionResumesToSameDigest) {
 
 // The VSS1 v2 snapshot carries one warm memo-cache section per provisioned
 // deployment, keyed by expected H_MEM: a recovered endpoint whose farm
-// re-provisions the same image starts with the cache warm, not cold.
+// re-provisions the same image starts with the cache warm, not cold. The
+// cache serves naive/TRACES replays, so this session carries a naive chain.
 TEST(NetRecovery, SnapshotCarriesWarmMemoCacheAcrossRestore) {
   if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
+  const fault::CampaignOptions options;
+  const PreparedApp& prepared = fixture().prepared;
+  const cfa::Challenge& chal = fixture().clean.chal;
+  const apps::MethodRun naive = apps::run_naive(
+      prepared, options.app_seed,
+      sim::MachineConfig{.mtb_buffer_bytes = options.mtb_buffer_bytes},
+      cfa::SessionOptions{.watermark_bytes = options.watermark_bytes}, chal);
+  ASSERT_TRUE(naive.functional_ok);
   // A private deployment so this test controls its own cache warmth; short
-  // memo windows with backoff disabled guarantee cache traffic on this
-  // checkpoint-dense RAP chain (same settings as the memo differentials).
-  const verify::MemoOptions dense{.window_packets = 4,
-                                  .anchor_backoff_cap = 0};
-  const auto warm_deployment = Deployment::rap(fixture().prepared.rap.program,
-                                               fixture().prepared.rap.manifest,
-                                               fixture().prepared.built.entry,
-                                               dense);
+  // memo windows guarantee cache traffic (same settings as the memo
+  // differentials).
+  const verify::MemoOptions dense{.window_packets = 4};
+  const auto warm_deployment = Deployment::naive(
+      prepared.built.program, prepared.built.entry, dense);
   VerifierFarm farm(apps::demo_key(), {.workers = 1});
   farm.provision(120, warm_deployment, fixture().config);
-  farm.adopt_challenge(120, fixture().clean.chal);
+  farm.adopt_challenge(120, chal);
   VerifierEndpoint endpoint(farm);
   DuplexLink link(LinkModel{}, LinkModel{}, /*seed=*/9);
-  ProverEndpoint prover(120, 1, fixture().clean.reports, {}, /*seed=*/9);
+  ProverEndpoint prover(120, 1, naive.attestation.reports, {}, /*seed=*/9);
   const SessionOutcome outcome = run_session(prover, endpoint, link);
   ASSERT_EQ(outcome.phase, ProverPhase::Done);
   ASSERT_EQ(outcome.verdict->verdict, Verdict::Accept);
@@ -595,9 +603,8 @@ TEST(NetRecovery, SnapshotCarriesWarmMemoCacheAcrossRestore) {
 
   // Crash: fresh farm, fresh deployment of the same image (fresh = cold
   // cache), restore. The warm section must land in the new cache.
-  const auto fresh_deployment = Deployment::rap(
-      fixture().prepared.rap.program, fixture().prepared.rap.manifest,
-      fixture().prepared.built.entry, dense);
+  const auto fresh_deployment = Deployment::naive(
+      prepared.built.program, prepared.built.entry, dense);
   ASSERT_EQ(fresh_deployment->memo().stats().entries, 0u);
   VerifierFarm recovered(apps::demo_key(), {.workers = 1});
   recovered.provision(120, fresh_deployment, fixture().config);

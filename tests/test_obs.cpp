@@ -376,7 +376,7 @@ TEST(ObsDifferential, CanonicalAttestationDigestMatchesBothBuildFlavours) {
                     result.detail.end());
   EXPECT_EQ(
       hex_digest(crypto::Sha256::hash(transcript)),
-      "20637438796ae9959b21ddaa713eb951bcc37f09fdf85374157d0420eb19909b")
+      "2b7345b9a4ec8000e1016041267e929ad2ed189eb881229425dc02fa54b640a6")
       << "canonical transcript drifted (RAP_OBS="
       << (obs::kEnabled ? "ON" : "OFF") << " build)";
 }

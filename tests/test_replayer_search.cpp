@@ -1,15 +1,18 @@
-// Focused tests for the Verifier's parse search: the silent-rejoin
-// attribution ambiguity, the benign-first two-pass semantics, the
-// direction-selection analysis in the rewriter that keeps recursion
-// parseable, and the checker mode (scripted replay).
+// Focused tests for the Verifier's one-pass RAP parse: silent-rejoin sites
+// that the rewriter closes with CondBoth slots, the direction-selection
+// analysis that keeps recursion decidable, the checker mode (scripted
+// replay), and a property sweep over the generated corpus and the app
+// registry asserting exact oracle equality.
 #include <gtest/gtest.h>
 
+#include "apps/runner.hpp"
 #include "asm/assembler.hpp"
 #include "cfa/provers.hpp"
 #include "gen_corpus.hpp"
 #include "rewrite/rap_rewriter.hpp"
 #include "sim/machine.hpp"
 #include "verify/deployment.hpp"
+#include "verify/verifier.hpp"
 
 namespace raptrack::verify {
 namespace {
@@ -66,8 +69,9 @@ std::shared_ptr<const Deployment> rap_deployment(const Built& b,
 }
 
 // The canonical silent-rejoin program: a leaf helper with an if/else whose
-// arms both end in BX LR, called twice back to back. The CF_Log cannot
-// attribute the single taken-packet to a specific call.
+// arms both end in BX LR, called twice back to back. With taken-edge-only
+// logging the single taken-packet could belong to either call, so the
+// rewriter logs both edges of the bgt there.
 constexpr const char* kSilentRejoin = R"(
 _start:
     li r4, =0x20201000
@@ -89,21 +93,23 @@ big:
 __code_end:
 )";
 
-TEST(ReplaySearch, SilentRejoinProducesAConsistentBenignParse) {
+TEST(ReplaySearch, SilentRejoinLogsBothEdgesAndParsesExactly) {
   const Built b = build(kSilentRejoin);
   const RapRun run = run_rap(b);
-  // Exactly one packet from the bgt slot (the second call took it).
-  ASSERT_EQ(run.inputs.packets.size(), 1u);
+  const Address bgt_site = *b.program.symbol("classify") + 4;
+  const auto* slot = run.rewritten.manifest.slot_for_site(bgt_site);
+  ASSERT_NE(slot, nullptr);
+  EXPECT_EQ(slot->kind, rewrite::SlotKind::CondBoth);
+  // One packet per call: the fall-through exit of the first, the taken
+  // edge of the second.
+  ASSERT_EQ(run.inputs.packets.size(), 2u);
 
   const auto deployment = rap_deployment(b, run);
   PathReplayer replayer(*deployment);
   const ReplayResult result = replayer.replay(run.inputs);
   EXPECT_TRUE(result.complete) << result.failure;
   EXPECT_TRUE(result.findings.empty());
-  // The parse may attribute the packet to either call (the log genuinely
-  // does not distinguish), but it must contain the same edge set…
-  EXPECT_EQ(result.events.size(), run.oracle.size());
-  // …and the true path must also be an accepted parse.
+  EXPECT_EQ(result.events, run.oracle);
   const ReplayResult checked = replayer.check_path(run.oracle, run.inputs);
   EXPECT_TRUE(checked.complete) << checked.failure;
   EXPECT_EQ(checked.events, run.oracle);
@@ -160,12 +166,12 @@ __code_end:
   EXPECT_EQ(result.events, run.oracle);
 }
 
-// Two-pass semantics: a benign run whose greedy parse would raise a
-// spurious ROP finding must still verify clean (the strict pass finds the
-// benign parse); a genuinely malicious log must still be convicted.
-TEST(ReplaySearch, BenignFirstSearchAvoidsSpuriousFindings) {
-  // Recursive shape where a wrong greedy attribution leads to a shadow-stack
-  // mismatch downstream.
+// A benign run must verify clean and a genuinely malicious log must still
+// be convicted.
+TEST(ReplaySearch, RecursionParsesCleanWithoutSpuriousFindings) {
+  // Recursive shape where a misattributed slot packet would surface as a
+  // shadow-stack mismatch downstream; the decidable rewrite leaves the
+  // greedy pass no wrong reading.
   const Built b = build(R"(
 _start:
     movi r0, #6
@@ -215,16 +221,16 @@ __code_end:
   const auto deployment = rap_deployment(b, run);
   PathReplayer replayer(*deployment);
   const ReplayResult result = replayer.replay(run.inputs);
-  // No benign parse exists (the packet's destination is the gadget), so the
-  // lenient pass reports the ROP.
+  // The packet's destination is the gadget: the parse completes and
+  // reports the ROP.
   EXPECT_TRUE(result.complete) << result.failure;
   ASSERT_FALSE(result.findings.empty());
   EXPECT_NE(result.findings[0].description.find("ROP"), std::string::npos);
 }
 
 TEST(ReplaySearch, DeepRecursionParsesQuickly) {
-  // fib(14): ~1200 calls. Without direction selection + memoized search
-  // this blew past 100k backtracks; now it must parse near-instantly.
+  // fib(14): ~1200 calls. Direction selection keeps every slot decidable,
+  // so one pass parses it.
   const Built b = build(R"(
 _start:
     movi r0, #14
@@ -257,9 +263,10 @@ __code_end:
 }
 
 TEST(ReplaySearch, AmbiguousLoopReentryStillParses) {
-  // An outer construct that re-enters an if/else region through unlogged
-  // edges from both directions: neither direction is decidable, so the
-  // backtracking search must cover it.
+  // An outer loop re-enters an if/else leaf whose arms both return through
+  // unmonitored BX LR. The loop's logged back edge separates consecutive
+  // instances of the bne, so its plain taken-edge slot stays decidable and
+  // the rewriter must not spend a CondBoth slot on it.
   const Built b = build(R"(
 _start:
     li r4, =0x20201000
@@ -285,41 +292,59 @@ nonzero:
 __code_end:
   )");
   const RapRun run = run_rap(b);
+  const auto* slot = run.rewritten.manifest.slot_for_site(
+      *b.program.symbol("classify") + 4);
+  ASSERT_NE(slot, nullptr);
+  EXPECT_EQ(slot->kind, rewrite::SlotKind::CondTaken);
   const auto deployment = rap_deployment(b, run);
   PathReplayer replayer(*deployment);
   const ReplayResult result = replayer.replay(run.inputs);
   EXPECT_TRUE(result.complete) << result.failure;
   EXPECT_TRUE(result.findings.empty());
-  EXPECT_EQ(result.events.size(), run.oracle.size());
+  EXPECT_EQ(result.events, run.oracle);
   const ReplayResult checked = replayer.check_path(run.oracle, run.inputs);
   EXPECT_TRUE(checked.complete) << checked.failure;
 }
 
-// Losslessness over the generative checkpoint-dense corpus (gen_corpus.hpp):
-// one representative per (nesting depth x alarm-loop shape). Every synthesized
-// program must parse completely with no findings, reconstruct the oracle's
-// edge multiset, and accept the true path in checker mode — the same
-// contract the hand-written shapes above pin, now over the grid the memo
-// differential fuzzes.
+// "The rewriter leaves no ambiguity", as a property: over the whole
+// 216-program generative corpus (gen_corpus.hpp, every program a leaf with
+// a silently rejoining conditional) and every registry app at 8 seeds, the
+// one-pass parse equals the ground-truth oracle exactly, and checker mode
+// accepts the oracle path.
 TEST(ReplaySearch, GeneratedCorpusSamplesStayLossless) {
-  for (const int depth : {1, 2, 3}) {
-    for (const int shape : {0, 1, 2}) {
-      const gen::GenParams p{.depth = depth,
-                             .alarm_every = 4,
-                             .loop_shape = shape,
-                             .seed = static_cast<u64>(depth + shape)};
-      const std::string name = gen::corpus_name(p);
-      const Built b = build(gen::corpus_source(p));
-      const RapRun run = run_rap(b);
-      const auto deployment = rap_deployment(b, run);
-      PathReplayer replayer(*deployment);
-      const ReplayResult result = replayer.replay(run.inputs);
-      EXPECT_TRUE(result.complete) << name << ": " << result.failure;
-      EXPECT_TRUE(result.findings.empty()) << name;
-      EXPECT_EQ(result.events.size(), run.oracle.size()) << name;
-      const ReplayResult checked = replayer.check_path(run.oracle, run.inputs);
+  const std::vector<gen::GenParams> grid = gen::corpus_grid();
+  ASSERT_EQ(grid.size(), 216u);
+  for (const gen::GenParams& p : grid) {
+    const std::string name = gen::corpus_name(p);
+    const Built b = build(gen::corpus_source(p));
+    const RapRun run = run_rap(b);
+    const auto deployment = rap_deployment(b, run);
+    PathReplayer replayer(*deployment);
+    const ReplayResult result = replayer.replay(run.inputs);
+    EXPECT_TRUE(result.complete) << name << ": " << result.failure;
+    EXPECT_TRUE(result.findings.empty()) << name;
+    EXPECT_EQ(result.events, run.oracle) << name;
+    const ReplayResult checked = replayer.check_path(run.oracle, run.inputs);
+    EXPECT_TRUE(checked.complete) << name << ": " << checked.failure;
+  }
+
+  for (const apps::App& app : apps::app_registry()) {
+    const apps::PreparedApp prepared = apps::prepare_app(app);
+    const auto deployment = Deployment::rap(
+        prepared.rap.program, prepared.rap.manifest, prepared.built.entry);
+    for (u64 seed = 0; seed < 8; ++seed) {
+      const std::string name = app.name + "/" + std::to_string(seed);
+      Verifier verifier(apps::demo_key());
+      verifier.expect(deployment);
+      const cfa::Challenge chal = verifier.fresh_challenge();
+      const apps::MethodRun run = apps::run_rap(prepared, seed, {}, {}, chal);
+      const VerificationResult result =
+          verifier.verify(chal, run.attestation.reports);
+      EXPECT_TRUE(result.accepted()) << name << ": " << result.detail;
+      EXPECT_EQ(result.replay.events, run.oracle) << name;
+      const ReplayResult checked =
+          PathReplayer(*deployment).check_path(run.oracle, result.inputs);
       EXPECT_TRUE(checked.complete) << name << ": " << checked.failure;
-      EXPECT_EQ(checked.events, run.oracle) << name;
     }
   }
 }

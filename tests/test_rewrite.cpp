@@ -435,5 +435,46 @@ TEST(ManifestIo, RejectsMalformedInput) {
   }
 }
 
+// Header: magic, version, eight range words, then the slot count; the first
+// slot record starts with its kind byte.
+constexpr size_t kFirstSlotKindOffset = 4 + 4 + 8 * 4 + 4;
+
+TEST(ManifestIo, RejectsUnknownSlotKind) {
+  const Built b = build(R"(
+_start:
+    bl fn
+    hlt
+fn:
+    push {r4, lr}
+    pop {r4, pc}
+__code_end:
+  )");
+  const RewriteResult result = rewrite(b);
+  ASSERT_FALSE(result.manifest.slots.empty());
+  std::vector<u8> bytes = serialize_manifest(result.manifest);
+  ASSERT_EQ(bytes[kFirstSlotKindOffset],
+            static_cast<u8>(result.manifest.slots[0].kind));
+  bytes[kFirstSlotKindOffset] = static_cast<u8>(SlotKind::CondBoth);
+  EXPECT_NO_THROW(deserialize_manifest(bytes));
+  for (const u8 bad : {u8{6}, u8{0x7f}, u8{0xff}}) {
+    bytes[kFirstSlotKindOffset] = bad;
+    EXPECT_THROW(deserialize_manifest(bytes), Error) << int{bad};
+  }
+}
+
+TEST(ManifestIo, RefusesVersionOneWhole) {
+  const Built b = build("_start:\n    hlt\n__code_end:\n");
+  const RewriteResult result = rewrite(b);
+  std::vector<u8> bytes = serialize_manifest(result.manifest);
+  ASSERT_EQ(bytes[4], 2u) << "manifest version field moved";
+  bytes[4] = 1;
+  try {
+    deserialize_manifest(bytes);
+    ADD_FAILURE() << "v1 manifest accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("v1"), std::string::npos) << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace raptrack::rewrite

@@ -3,8 +3,7 @@
 // pipeline must hold up —
 //   F1  the program assembles, terminates, and both rewrites preserve its
 //       final architectural state bit-for-bit;
-//   F2  RAP-Track evidence verifies and reconstructs (lossless up to the
-//       documented silent-rejoin attribution equivalence);
+//   F2  RAP-Track evidence verifies and reconstructs exactly;
 //   F3  naive-MTB and TRACES reconstructions are exact;
 //   F4  generation is deterministic per seed.
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include "apps/runner.hpp"
 #include "asm/assembler.hpp"
 #include "apps/synthetic.hpp"
-#include "lossless_helpers.hpp"
 
 namespace raptrack {
 namespace {
@@ -131,9 +129,7 @@ TEST_P(SynthTest, RapEvidenceVerifiesAndReconstructs) {
 
   const auto result = verifier.verify(chal, run.reports);
   ASSERT_TRUE(result.accepted()) << result.detail;
-  EXPECT_TRUE(raptrack::testing::rap_lossless_up_to_attribution(
-      built.rap.program, built.rap.manifest, built.entry, result,
-      machine.oracle().events()));
+  EXPECT_EQ(result.replay.events, machine.oracle().events());
 }
 
 TEST_P(SynthTest, NaiveAndTracesReconstructExactly) {

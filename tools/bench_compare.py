@@ -42,10 +42,7 @@ be at least 1.5x memo-off on that repeated-workload row) without needing a
 baseline file at all (pass the candidate as both arguments). A six-part
 rowspec names the two memo variants explicitly, e.g.:
 
-  --require-speedup gps/rap/clean/serial_shared/on+warm/off:1.0
-
-which compares the row that starts from a restored warm snapshot against
-memo off.
+  --require-speedup gps/naive/clean/serial_shared/on/off:1.0
 
 --require-hit-rate asserts a segment_hit_rate floor on a single candidate
 row, named by a five-part rowspec (app/method/mix/mode/memo), e.g.:
