@@ -32,14 +32,14 @@
 // plus top-level "host_cpus" (scaling efficiency is bounded by physical
 // cores — on a 1-CPU host every multi-worker request clamps to one worker),
 // "hmac_lanes" (SHA-256 lanes the batched MAC check dispatches to on this
-// host) and "memo_enabled" (RAP_MEMO compile switch).
+// host) and "memo_enabled" (always true: the cache is always compiled in;
+// the field keeps the schema of earlier baselines).
 //
 // Correctness tripwires, all fatal (ride the bench-smoke-verify ctest):
 //   - every timed verification must reproduce the workload's probed verdict;
 //   - per workload, the canonical verification digest must be byte-identical
-//     memo-off vs memo-on-cold vs memo-on-warm vs warm-restored-from-snapshot
-//     (memoization may only change wall time and cache telemetry, never the
-//     verification outcome);
+//     memo-off vs memo-on-cold vs memo-on-warm (memoization may only change
+//     wall time and cache telemetry, never the verification outcome);
 //   - the emitted JSON must re-validate against the row schema.
 #include <algorithm>
 #include <chrono>
@@ -120,9 +120,7 @@ Verdict probe(const Workload& w) { return verify_once(w, false).verdict; }
 /// Memoization must be outcome-invisible: the canonical digest over the
 /// verification result (verdict, findings, events, replay outcome — cache
 /// telemetry excluded) has to be byte-identical with the memo off, with a
-/// cold cache, with a warm cache, and with a cache restored from a warm
-/// snapshot (the exact bytes a recovered verifier endpoint would rehydrate
-/// from). Fatal on divergence, so the
+/// cold cache and with a warm cache. Fatal on divergence, so the
 /// bench-smoke-verify ctest doubles as a differential check.
 void check_memo_digests(const Workload& w) {
   w.deployment->memo().clear();
@@ -132,18 +130,13 @@ void check_memo_digests(const Workload& w) {
       verify_once(w, true)));
   const std::string warm = hex_digest(verify::verification_digest(
       verify_once(w, true)));
-  const std::vector<u8> snapshot = w.deployment->memo().serialize_warm();
   w.deployment->memo().clear();
-  w.deployment->memo().restore_warm(snapshot);
-  const std::string restored = hex_digest(verify::verification_digest(
-      verify_once(w, true)));
-  w.deployment->memo().clear();
-  if (off != cold || off != warm || off != restored) {
+  if (off != cold || off != warm) {
     std::fprintf(stderr,
                  "error: %s/%s/%s memoized digest diverged\n  off  %s\n"
-                 "  cold %s\n  warm %s\n  rest %s\n",
+                 "  cold %s\n  warm %s\n",
                  w.app.c_str(), w.method.c_str(), w.mix.c_str(), off.c_str(),
-                 cold.c_str(), warm.c_str(), restored.c_str());
+                 cold.c_str(), warm.c_str());
     std::exit(1);
   }
 }
@@ -252,7 +245,7 @@ std::vector<Workload> build_workloads(bool quick) {
 
 /// Memo-lookup hit rate across a timed region, from the deployment cache's
 /// counter deltas. Zero when the region issued no lookups (memo off, or a
-/// RAP_MEMO=OFF build where the cache ignores traffic).
+/// RAP deployment, whose replays never use the cache).
 struct MemoDelta {
   verify::MemoStats before;
   explicit MemoDelta(const Workload& w) : before(w.deployment->memo().stats()) {}
@@ -545,9 +538,8 @@ int main(int argc, char** argv) {
       all.push_back(std::move(row));
     }
   }
-  std::printf("host cpus: %u, hmac lanes: %zu, memo: %s%s\n", host_cpus,
+  std::printf("host cpus: %u, hmac lanes: %zu%s\n", host_cpus,
               crypto::sha256_mb_lanes(),
-              verify::kMemoEnabled ? "enabled" : "disabled",
               host_cpus < 8 ? "  (farm worker requests above the core count "
                               "clamp to hardware_concurrency; see "
                               "workers_requested vs workers per row)"

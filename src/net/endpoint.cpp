@@ -41,9 +41,9 @@ struct NetMetrics {
 };
 
 constexpr u8 kSnapshotMagic[4] = {'V', 'S', 'S', '1'};
-// v2 appends per-deployment warm memo-cache sections (keyed by expected
-// H_MEM) after the delivery sessions; v1 blobs still restore — cold.
-constexpr u32 kSnapshotVersion = 2;
+// v3 holds challenge state and delivery sessions only. Earlier versions
+// carried per-deployment memo-cache sections and are refused whole.
+constexpr u32 kSnapshotVersion = 3;
 
 void put_u32(std::vector<u8>& out, u32 value) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<u8>(value >> (8 * i)));
@@ -365,14 +365,19 @@ void VerifierEndpoint::maybe_submit(const SessionKey& key, Session& session,
 
 void VerifierEndpoint::on_data(const Datagram& dgram, DuplexLink& link) {
   const SessionKey key{dgram.device, dgram.session};
-  Session& session = sessions_[key];
-  ++session.datagrams;
-  if (options_.flood_datagram_budget != 0 &&
-      session.datagrams > options_.flood_datagram_budget) {
-    ++stats_.flood_strikes;
-    NetMetrics::get().flood_strikes.inc();
-    farm_.penalize(dgram.device);
-    return;
+  // Look the session up without creating it: a session starts only once a
+  // report passes the MAC door, so forged datagrams under invented session
+  // ids leave no state behind (and nothing in later snapshots).
+  auto found = sessions_.find(key);
+  if (found != sessions_.end()) {
+    ++found->second.datagrams;
+    if (options_.flood_datagram_budget != 0 &&
+        found->second.datagrams > options_.flood_datagram_budget) {
+      ++stats_.flood_strikes;
+      NetMetrics::get().flood_strikes.inc();
+      farm_.penalize(dgram.device);
+      return;
+    }
   }
   auto report = cfa::try_decode_report(dgram.payload);
   if (!report.ok()) {
@@ -391,6 +396,11 @@ void VerifierEndpoint::on_data(const Datagram& dgram, DuplexLink& link) {
     farm_.penalize(dgram.device);
     return;
   }
+  if (found == sessions_.end()) {
+    found = sessions_.emplace(key, Session{}).first;
+    found->second.datagrams = 1;
+  }
+  Session& session = found->second;
   if (session.terminal) {
     // Late or duplicated data after the verdict: re-announce it so a lost
     // Verdict frame converges via the prover's probe.
@@ -487,17 +497,6 @@ std::vector<u8> VerifierEndpoint::snapshot() const {
       put_bytes(out, cfa::encode_report(report));
     }
   }
-  // v2: one warm memo-cache section per distinct provisioned deployment,
-  // keyed by expected H_MEM so restore can match sections to deployments
-  // provisioned after the crash. A restored verifier then starts near its
-  // steady-state hit rate instead of re-verifying everything cold.
-  const auto deployments = farm_.deployments();
-  put_u32(out, static_cast<u32>(deployments.size()));
-  for (const auto& deployment : deployments) {
-    const auto& h_mem = deployment->expected_h_mem();
-    out.insert(out.end(), h_mem.begin(), h_mem.end());
-    put_bytes(out, deployment->memo().serialize_warm());
-  }
   put_u32(out, crc32(out));
   return out;
 }
@@ -516,8 +515,7 @@ bool VerifierEndpoint::restore(std::span<const u8> blob) {
   if (crc32(body) != stored) return false;
 
   SnapReader reader{body.subspan(sizeof(kSnapshotMagic))};
-  const u32 version = reader.u32_value();
-  if (version < 1 || version > kSnapshotVersion) return false;
+  if (reader.u32_value() != kSnapshotVersion) return false;
   const auto store_blob = reader.bytes_value();
 
   std::map<SessionKey, Session> restored;
@@ -562,37 +560,9 @@ bool VerifierEndpoint::restore(std::span<const u8> blob) {
     }
     restored.emplace(SessionKey{device, session_id}, std::move(session));
   }
-  // v2 warm memo-cache sections (v1 blobs end here and restore cold).
-  struct WarmSection {
-    crypto::Digest h_mem{};
-    std::span<const u8> blob;
-  };
-  std::vector<WarmSection> warm;
-  if (version >= 2) {
-    const u32 deployment_count = reader.u32_value();
-    for (u32 i = 0; i < deployment_count && !reader.failed; ++i) {
-      WarmSection section;
-      for (auto& byte : section.h_mem) byte = reader.u8_value();
-      section.blob = reader.bytes_value();
-      warm.push_back(section);
-    }
-  }
   if (!reader.done()) return false;
   if (!farm_.sessions().deserialize(store_blob)) return false;
   sessions_ = std::move(restored);
-  // Match warm sections to the provisioned deployments by expected H_MEM.
-  // An unmatched digest or corrupt section degrades to a cold cache — the
-  // protocol state above already committed, and verdicts never depend on
-  // cache warmth.
-  if (!warm.empty()) {
-    for (const auto& deployment : farm_.deployments()) {
-      for (const auto& section : warm) {
-        if (crypto::digest_equal(deployment->expected_h_mem(), section.h_mem)) {
-          deployment->memo().restore_warm(section.blob);
-        }
-      }
-    }
-  }
   return true;
 }
 

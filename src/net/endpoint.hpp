@@ -174,8 +174,8 @@ class VerifierEndpoint {
   std::vector<u8> snapshot() const;
 
   /// Load a snapshot() blob into this endpoint *and* its farm's
-  /// SessionStore. Returns false (state untouched) on bad magic,
-  /// truncation, trailing bytes, or checksum mismatch.
+  /// SessionStore. Returns false (state untouched) on bad magic, any other
+  /// snapshot version, truncation, trailing bytes, or checksum mismatch.
   bool restore(std::span<const u8> blob);
 
  private:

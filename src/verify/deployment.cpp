@@ -10,7 +10,7 @@ namespace raptrack::verify {
 ReplayIndex::ReplayIndex(const Program& program, ReplayMode mode,
                          const rewrite::Manifest* rap,
                          const instr::TracesManifest* traces)
-    : program_(&program), decoded_(program.base(), program.bytes()) {
+    : decoded_(program.base(), program.bytes()) {
   // Static successor map: resolve every direct / direct-call / conditional
   // branch target once, so the replay hot loop never re-computes them.
   targets_.assign(decoded_.slot_count(), 0);

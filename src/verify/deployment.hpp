@@ -49,13 +49,12 @@ class ReplayIndex {
               const rewrite::Manifest* rap,
               const instr::TracesManifest* traces);
 
-  const Program& program() const { return *program_; }
-
   bool contains(Address pc) const { return decoded_.contains(pc); }
 
   /// Predecoded instruction at an aligned, contained pc. nullptr when the
-  /// word does not decode (or predecode declined it — callers fall back to
-  /// Program::instruction_at for the authoritative answer).
+  /// word does not decode: the index is built from the deployment's own
+  /// bytes with the default cycle model and never invalidated, so predecode
+  /// declines nothing that Program::instruction_at would decode.
   const isa::Instruction* instruction_at(Address pc) const {
     const auto& slot = decoded_.slot(pc);
     return slot.kind == isa::SlotKind::Valid ? &slot.instr : nullptr;
@@ -88,7 +87,6 @@ class ReplayIndex {
   }
 
  private:
-  const Program* program_;
   isa::DecodedImage decoded_;
   std::vector<Address> targets_;  ///< per-slot static branch target (or 0)
 
@@ -113,9 +111,9 @@ struct VerifyConfig {
   const cfa::SpeculationDict* speculation = nullptr;
   /// §IV-E watermark-shape check, in bytes; 0 disables.
   u32 expected_watermark = 0;
-  /// Consult the deployment's verified sub-path cache during replay. Off, or
-  /// with RAP_MEMO compiled out, every replay re-simulates from scratch
-  /// (the memo-off ablation leg). Verdicts are identical either way.
+  /// Consult the deployment's verified sub-path cache during replay. Off,
+  /// every replay re-simulates from scratch (the memo-off ablation leg).
+  /// Verdicts are identical either way.
   bool use_memo = true;
 };
 

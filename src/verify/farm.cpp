@@ -112,27 +112,6 @@ void VerifierFarm::adopt_challenge(DeviceId device,
   sessions_.issue(device, chal);
 }
 
-std::vector<std::shared_ptr<const Deployment>> VerifierFarm::deployments()
-    const {
-  std::vector<std::shared_ptr<const Deployment>> unique;
-  {
-    std::lock_guard lock(mu_);
-    for (const auto& [id, state] : devices_) {
-      if (!state.deployment) continue;
-      const bool seen = std::any_of(
-          unique.begin(), unique.end(),
-          [&](const auto& d) { return d.get() == state.deployment.get(); });
-      if (!seen) unique.push_back(state.deployment);
-    }
-  }
-  std::sort(unique.begin(), unique.end(), [](const auto& a, const auto& b) {
-    return std::lexicographical_compare(
-        a->expected_h_mem().begin(), a->expected_h_mem().end(),
-        b->expected_h_mem().begin(), b->expected_h_mem().end());
-  });
-  return unique;
-}
-
 std::future<VerificationResult> VerifierFarm::submit(
     DeviceId device, const cfa::Challenge& chal,
     std::vector<cfa::SignedReport> reports) {
@@ -359,8 +338,13 @@ VerifierFarm::Breaker VerifierFarm::breaker_state(DeviceId device) const {
 void VerifierFarm::penalize(DeviceId device, u32 strikes) {
   if (!quarantine_.enabled) return;
   std::lock_guard lock(mu_);
-  DeviceState& state = devices_[device];
-  for (u32 i = 0; i < strikes; ++i) update_breaker(state, /*forgery=*/true);
+  // The delivery layer names whatever id a datagram carries; an id that was
+  // never provisioned gets no state, so it keeps reading "unknown device".
+  const auto it = devices_.find(device);
+  if (it == devices_.end()) return;
+  for (u32 i = 0; i < strikes; ++i) {
+    update_breaker(it->second, /*forgery=*/true);
+  }
 }
 
 void VerifierFarm::drain() {

@@ -122,10 +122,6 @@ class VerifierFarm {
 
   size_t worker_count() const { return workers_.size(); }
   SessionStore& sessions() { return sessions_; }
-  /// The distinct deployments currently provisioned (deduplicated across
-  /// devices sharing one image, ordered by expected H_MEM so snapshots are
-  /// deterministic). The endpoint's warm-cache snapshot walks these.
-  std::vector<std::shared_ptr<const Deployment>> deployments() const;
   /// The RoT key schedule, shared with trusted delivery-layer components
   /// (the VerifierEndpoint MAC-checks datagrams at the door with it).
   const crypto::HmacKeySchedule& key_schedule() const { return key_schedule_; }
@@ -138,7 +134,7 @@ class VerifierFarm {
   /// strikes against `device` (e.g. datagrams whose report MAC fails at the
   /// endpoint door, or a session exceeding its datagram flood budget).
   /// Feeds the same circuit breaker as in-farm forgery rejects. No-op when
-  /// quarantine is disabled.
+  /// quarantine is disabled or `device` was never provisioned.
   void penalize(DeviceId device, u32 strikes = 1);
 
  private:

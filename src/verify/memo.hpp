@@ -32,34 +32,25 @@
 // least-recently-used entries within the probe window (and clock-sweeps the
 // shard when the byte budget overflows).
 //
-// Compile-time gate: `RAP_MEMO_ENABLED` (CMake option RAP_MEMO, default ON)
-// mirrors RAP_OBS. When OFF, lookup/insert collapse to no-ops, kMemoEnabled
-// is false, and verify_report_chain never attaches the cache — the engine
-// runs exactly the pre-memo code path.
+// The one switch is VerifyConfig::use_memo: with it off, verify_report_chain
+// never attaches the cache and the engine runs the unmemoized code path.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "common/types.hpp"
 #include "trace/branch_packet.hpp"
 #include "trace/trace_fabric.hpp"
 
-#ifndef RAP_MEMO_ENABLED
-#define RAP_MEMO_ENABLED 1
-#endif
-
 namespace raptrack::verify {
 
-#if RAP_MEMO_ENABLED
+/// Always true: the cache is always compiled in. Kept for the e2e bench
+/// report, which prints it.
 inline constexpr bool kMemoEnabled = true;
-#else
-inline constexpr bool kMemoEnabled = false;
-#endif
 
 /// Packed snapshot of the replay engine's constant-propagating valuation:
 /// sixteen optional registers (known mask + values) and the four optional
@@ -112,7 +103,6 @@ struct MemoSegment {
   std::vector<trace::OracleEvent> events;
   u64 steps = 0;
   u64 index_hits = 0;
-  u64 index_fallbacks = 0;
 
   /// Approximate heap footprint, for the shard byte budget.
   size_t bytes() const;
@@ -126,9 +116,6 @@ struct MemoOptions {
   size_t shards = 16;
   /// Open-addressed slots per shard.
   size_t slots_per_shard = 2048;
-  /// Segments (by hit count) serialized into a MEM1 warm-start section.
-  /// Bounds snapshot size; 0 disables the section payload.
-  size_t snapshot_top_k = 4096;
   /// Byte budget across the whole cache (split evenly over shards).
   /// Entries larger than one shard's budget are rejected outright.
   size_t budget_bytes = size_t{48} << 20;
@@ -185,34 +172,16 @@ class MemoCache {
   void note_hit() const;
   void note_miss() const;
 
-  // -- persistent warm start (MEM1) -----------------------------------------
-
-  /// Serialize the top-K segments (by hit count) into a standalone,
-  /// versioned, CRC-protected MEM1 blob.
-  std::vector<u8> serialize_warm() const;
-
-  /// Restore a MEM1 blob produced by serialize_warm. All-or-nothing: returns
-  /// false (cache untouched — cold, never wrong) on any malformation,
-  /// truncation, checksum mismatch, or other format version. On success the
-  /// restored entries are inserted hot, as if just recorded.
-  bool restore_warm(std::span<const u8> blob);
-
   /// Drop every entry and reset statistics (bench/test isolation).
   void clear();
 
   MemoStats stats() const;
   const MemoOptions& options() const { return options_; }
 
-  /// Global kill switch for differential tests that cannot reach every
-  /// internally-constructed Verifier: while disabled, lookup returns
-  /// nothing and insert drops. Flip only from single-threaded test setup.
-  static void force_disable(bool disable);
-
  private:
   struct Slot {
     u64 key = 0;
     u64 tick = 0;  ///< last touch (shard-local logical clock)
-    u64 hits = 0;  ///< lifetime candidate returns (MEM1 top-K ranking)
     Handle segment;
   };
   struct alignas(64) Shard {

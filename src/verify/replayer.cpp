@@ -386,7 +386,6 @@ class ReplayEngine {
     size_t entry_stack = 0;
     u64 entry_steps = 0;
     u64 entry_index_hits = 0;
-    u64 entry_index_fallbacks = 0;
     /// Lowest shadow-stack depth seen since the anchor; entries popped from
     /// below the anchor depth are part of the segment's key.
     size_t min_stack = 0;
@@ -635,7 +634,6 @@ class ReplayEngine {
     rec_.min_stack = shadow_stack_.size();
     rec_.entry_steps = result_.steps;
     rec_.entry_index_hits = result_.index_hits;
-    rec_.entry_index_fallbacks = result_.index_fallbacks;
     rec_.popped.clear();
     rec_.have_peek = false;
     rec_.have_eos = false;
@@ -699,7 +697,6 @@ class ReplayEngine {
                        result_.events.end());
     seg->steps = steps_delta;
     seg->index_hits = result_.index_hits - rec_.entry_index_hits;
-    seg->index_fallbacks = result_.index_fallbacks - rec_.entry_index_fallbacks;
     const u64 key = memo_key(seg->entry_pc, seg->entry_val, policy_hash_);
     memo_->insert(key, std::move(seg));
   }
@@ -786,7 +783,6 @@ class ReplayEngine {
     pc_ = seg.exit_pc;
     result_.steps += seg.steps;
     result_.index_hits += seg.index_hits;
-    result_.index_fallbacks += seg.index_fallbacks;
     if (seg.halted) memo_halted_ = true;
   }
 
@@ -820,30 +816,13 @@ bool ReplayEngine::step() {
     return false;
   }
   const Instruction* cached = index_.instruction_at(pc_);
-  Instruction fallback;
   if (cached == nullptr) {
-    // Predecode declined this word (or it is data): the per-step decoder is
-    // the authoritative tie-break.
-    const auto decoded = index_.program().instruction_at(pc_);
-    if (!decoded) {
-      fail("undefined instruction at " + hex32(pc_));
-      return false;
-    }
-    fallback = *decoded;
+    fail("undefined instruction at " + hex32(pc_));
+    return false;
   }
-  const Instruction in = cached != nullptr ? *cached : fallback;
-  if (cached != nullptr) {
-    ++result_.index_hits;
-  } else {
-    ++result_.index_fallbacks;
-  }
+  const Instruction& in = *cached;
+  ++result_.index_hits;
   const BranchKind kind = isa::branch_kind(in);
-  // Static branch destination: from the precomputed successor map on the
-  // cached path, recomputed only on the rare fallback path.
-  const auto static_target = [&]() -> Address {
-    return cached != nullptr ? index_.branch_target(pc_)
-                             : isa::branch_target(in, pc_);
-  };
 
   if (kind == BranchKind::Halt) {
     // All evidence must be accounted for; leftovers indicate injection.
@@ -900,11 +879,11 @@ bool ReplayEngine::step() {
     }
 
     case BranchKind::Direct:
-      take_branch(static_target(), BranchKind::Direct);
+      take_branch(index_.branch_target(pc_), BranchKind::Direct);
       break;
 
     case BranchKind::DirectCall: {
-      const Address target = static_target();
+      const Address target = index_.branch_target(pc_);
       shadow_stack_.push_back(pc_ + 4);
       val_.write(Reg::LR, pc_ + 4);
       take_branch(target, BranchKind::DirectCall);
@@ -920,7 +899,7 @@ bool ReplayEngine::step() {
         break;
       }
       if (*taken) {
-        take_branch(static_target(), BranchKind::Conditional);
+        take_branch(index_.branch_target(pc_), BranchKind::Conditional);
       } else {
         pc_ += 4;
       }

@@ -52,12 +52,10 @@ struct ReplayResult {
   std::vector<trace::OracleEvent> events;  ///< reconstructed branch history
   std::vector<AttackFinding> findings;     ///< policy violations observed
   u64 steps = 0;
-  /// Replay-index cache effectiveness: steps served from the precomputed
-  /// instruction array vs. per-step decode fallbacks (data words, predecode
-  /// declines). Deterministic for a given chain, so serial and farm
-  /// verification report identical values.
+  /// Steps served from the replay index's predecoded instruction array
+  /// (every step that decoded). Deterministic for a given chain, so serial
+  /// and farm verification report identical values.
   u64 index_hits = 0;
-  u64 index_fallbacks = 0;
   /// Memo-cache effectiveness (verified sub-path cache, memo.hpp): segment
   /// anchors spliced from a stored segment vs. anchors that missed and
   /// recorded fresh. NOT part of the verification outcome — the values

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "common/crc32.hpp"
-#include "verify/memo.hpp"
 
 namespace raptrack::verify {
 
@@ -113,7 +112,7 @@ bool SessionStore::consume(DeviceId device, const cfa::Challenge& chal) {
   return true;
 }
 
-std::vector<u8> SessionStore::serialize(const MemoCache* memo) const {
+std::vector<u8> SessionStore::serialize() const {
   // Collect per-device state under the shard locks, sorted by device id so
   // the blob is deterministic regardless of hash-map iteration order.
   std::map<DeviceId, DeviceSessions> devices;
@@ -135,14 +134,10 @@ std::vector<u8> SessionStore::serialize(const MemoCache* memo) const {
     }
   }
   put_u32(out, crc32(out));
-  if (memo != nullptr) {
-    const std::vector<u8> warm = memo->serialize_warm();
-    out.insert(out.end(), warm.begin(), warm.end());
-  }
   return out;
 }
 
-bool SessionStore::deserialize(std::span<const u8> bytes, MemoCache* memo) {
+bool SessionStore::deserialize(std::span<const u8> bytes) {
   if (bytes.size() < sizeof(kSnapshotMagic) + 8) return false;
   if (!std::equal(std::begin(kSnapshotMagic), std::end(kSnapshotMagic),
                   bytes.begin())) {
@@ -150,8 +145,8 @@ bool SessionStore::deserialize(std::span<const u8> bytes, MemoCache* memo) {
   }
   // The SST1 section is self-delimiting (the crc trailer sits right after
   // the last device), so parse first and locate the trailer, then verify
-  // the checksum over exactly the section it covers. Anything after the
-  // trailer must be a MEM1 warm-cache section, not trailing garbage.
+  // the checksum over exactly the section it covers. Nothing may follow the
+  // trailer.
   SnapReader reader{bytes.subspan(sizeof(kSnapshotMagic))};
   std::map<DeviceId, DeviceSessions> devices;
   const u32 device_count = reader.u32_value();
@@ -177,11 +172,7 @@ bool SessionStore::deserialize(std::span<const u8> bytes, MemoCache* memo) {
   const u32 stored = reader.u32_value();
   if (reader.failed) return false;
   if (crc32(bytes.first(sst_end)) != stored) return false;
-  const auto warm = bytes.subspan(sst_end + 4);
-  if (!warm.empty() && !(warm.size() >= 4 && warm[0] == 'M' &&
-                         warm[1] == 'E' && warm[2] == 'M' && warm[3] == '1')) {
-    return false;  // trailing bytes that are not a warm section
-  }
+  if (bytes.size() != sst_end + 4) return false;  // trailing garbage
 
   for (Shard& shard : shards_) {
     std::lock_guard lock(shard.mu);
@@ -192,10 +183,6 @@ bool SessionStore::deserialize(std::span<const u8> bytes, MemoCache* memo) {
     std::lock_guard lock(shard.mu);
     shard.devices[id] = std::move(sessions);
   }
-  // Warm-cache section last, after session state committed: a corrupt MEM1
-  // degrades to a cold cache but never fails the (correctness-critical)
-  // session restore.
-  if (memo != nullptr && !warm.empty()) memo->restore_warm(warm);
   return true;
 }
 

@@ -19,8 +19,6 @@
 
 namespace raptrack::verify {
 
-class MemoCache;
-
 /// Stable identity of one proving device in the fleet.
 using DeviceId = u64;
 
@@ -60,19 +58,14 @@ class SessionStore {
 
   /// Point-in-time snapshot of all shards. Safe to call concurrently with
   /// updates (takes each shard lock in turn); the snapshot is consistent
-  /// per device, which is the unit recovery cares about. With `memo`, a
-  /// self-delimiting "MEM1" warm-cache section (MemoCache::serialize_warm)
-  /// is appended after the SST1 crc trailer, so a restored verifier starts
-  /// near its steady-state hit rate instead of cold.
-  std::vector<u8> serialize(const MemoCache* memo = nullptr) const;
+  /// per device, which is the unit recovery cares about.
+  std::vector<u8> serialize() const;
 
   /// Replace the store's entire contents from a serialize() blob. Returns
-  /// false (leaving the store untouched) on bad magic, truncation, trailing
-  /// bytes, or a checksum mismatch — a torn snapshot must never half-load.
-  /// A trailing MEM1 section is restored into `memo` when given (a corrupt
-  /// warm section degrades to a cold cache; it never fails the restore,
-  /// because session state — the correctness-critical part — is intact).
-  bool deserialize(std::span<const u8> bytes, MemoCache* memo = nullptr);
+  /// false (leaving the store untouched) on bad magic, truncation, any byte
+  /// after the crc trailer, or a checksum mismatch — a torn snapshot must
+  /// never half-load.
+  bool deserialize(std::span<const u8> bytes);
 
  private:
   struct DeviceSessions {

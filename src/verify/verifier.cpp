@@ -67,7 +67,6 @@ crypto::Digest verification_digest(const VerificationResult& result) {
   out.str(replay.failure);
   out.u64le(replay.steps);
   out.u64le(replay.index_hits);
-  out.u64le(replay.index_fallbacks);
   // memo_hits / memo_misses intentionally omitted: cache-warmth telemetry,
   // not part of the verification outcome.
   out.u64le(replay.events.size());
@@ -253,8 +252,6 @@ struct ChainObs {
           break;
       }
       reg.counter("verify.replay_index_hits").inc(result->replay.index_hits);
-      reg.counter("verify.replay_index_fallbacks")
-          .inc(result->replay.index_fallbacks);
     }
   }
 };
@@ -451,7 +448,7 @@ VerificationResult verify_report_chain(
   // (6) Lossless path reconstruction + (7) attack policies.
   PathReplayer replayer(deployment);
   replayer.set_policy(config.policy);
-  if (config.use_memo && kMemoEnabled) replayer.set_memo(&deployment.memo());
+  if (config.use_memo) replayer.set_memo(&deployment.memo());
   try {
     auto span = cobs.phase("replay");
     result.replay = replayer.replay(inputs);

@@ -135,9 +135,9 @@ class Verifier {
   /// though the report signs valid. 0 (default) disables the check.
   void set_expected_watermark(u32 bytes) { config_.expected_watermark = bytes; }
 
-  /// Toggle the verified sub-path memo cache (default on; no-op when
-  /// RAP_MEMO is compiled out). The memo-off ablation path of the benches
-  /// and the differential tests run through this.
+  /// Toggle the verified sub-path memo cache (default on). The memo-off
+  /// ablation path of the benches and the differential tests run through
+  /// this.
   void set_memo(bool enabled) { config_.use_memo = enabled; }
 
   const VerifyConfig& config() const { return config_; }

@@ -235,11 +235,23 @@ TEST(FarmScheduling, BackpressureBoundsTheQueueWithoutDeadlock) {
 }
 
 TEST(FarmScheduling, UnknownDeviceRejectsWithoutCrashing) {
-  VerifierFarm farm(apps::demo_key(), {.workers = 2, .clamp_workers = false});
-  const VerificationResult result =
-      farm.submit(/*device=*/99, cfa::Challenge{}, {}).get();
-  EXPECT_EQ(result.verdict, Verdict::Reject);
-  EXPECT_EQ(result.detail, "unknown device");
+  // Inputs: a plain farm, and a quarantining farm whose delivery layer has
+  // penalized the unknown id past the strike threshold (the id a datagram
+  // carries is attacker-chosen, so penalize must not provision it).
+  for (const bool penalized : {false, true}) {
+    SCOPED_TRACE(penalized ? "penalized past threshold" : "plain");
+    FarmOptions options{.workers = 2, .clamp_workers = false};
+    options.quarantine.enabled = penalized;
+    VerifierFarm farm(apps::demo_key(), options);
+    if (penalized) {
+      farm.penalize(/*device=*/99, options.quarantine.strike_threshold + 1);
+    }
+    EXPECT_EQ(farm.breaker_state(99), VerifierFarm::Breaker::Closed);
+    const VerificationResult result =
+        farm.submit(/*device=*/99, cfa::Challenge{}, {}).get();
+    EXPECT_EQ(result.verdict, Verdict::Reject);
+    EXPECT_EQ(result.detail, "unknown device");
+  }
 }
 
 TEST(FarmScheduling, WireFramingErrorsRejectWithParserDetail) {

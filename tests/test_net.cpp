@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "fault/campaign.hpp"
 #include "net/endpoint.hpp"
 #include "net/link.hpp"
@@ -492,6 +493,43 @@ TEST(NetSession, FloodBudgetStrikesTheDevice) {
   EXPECT_EQ(farm.breaker_state(80), VerifierFarm::Breaker::Open);
 }
 
+// A CRC-valid datagram that fails the door (undecodable report, or a forged
+// MAC) must not leave a session behind: otherwise every invented session id
+// grows the endpoint, and its snapshots, for good.
+TEST(NetSession, ForgedDatagramsUnderFreshSessionIdsLeaveNoState) {
+  VerifierFarm farm(apps::demo_key(), {.workers = 1});
+  provision(farm, /*device=*/85);
+  VerifierEndpoint endpoint(farm);
+  const std::vector<u8> empty_snapshot = endpoint.snapshot();
+  DuplexLink link(LinkModel{}, LinkModel{}, /*seed=*/6);
+
+  cfa::SignedReport forged = fixture().clean.reports[0];
+  forged.mac[0] ^= 0xff;
+  constexpr u64 kSessions = 32;
+  for (u64 session = 1; session <= kSessions; ++session) {
+    Datagram dgram;
+    dgram.kind = DatagramKind::Data;
+    dgram.device = 85;
+    dgram.session = session;
+    dgram.seq = forged.sequence;
+    // Alternate the two door failures: forged MAC, garbage report bytes.
+    dgram.payload = session % 2 == 0 ? cfa::encode_report(forged)
+                                     : std::vector<u8>{'R', 'P', 'T', '?'};
+    link.send_to_verifier(net::encode_datagram(dgram));
+  }
+  for (int i = 0; i < 4; ++i) {
+    endpoint.on_tick(link);
+    link.advance();
+  }
+  EXPECT_EQ(endpoint.stats().mac_drops, kSessions / 2);
+  EXPECT_EQ(endpoint.stats().decode_drops, kSessions / 2);
+  for (u64 session = 1; session <= kSessions; ++session) {
+    EXPECT_FALSE(endpoint.session_info(85, session).has_value())
+        << "session " << session;
+  }
+  EXPECT_EQ(endpoint.snapshot(), empty_snapshot);
+}
+
 // -- crash recovery ----------------------------------------------------------
 
 TEST(NetRecovery, SessionStoreSerializeRoundTrips) {
@@ -512,6 +550,23 @@ TEST(NetRecovery, SessionStoreSerializeRoundTrips) {
       std::span(blob.data(), blob.size() - 1)));
   // The failed loads left the previously-restored state intact.
   EXPECT_EQ(fresh.sessions().serialize(), blob);
+}
+
+// Nothing may follow the SST1 crc trailer, including bytes that look like
+// the memo-cache section older snapshots appended there.
+TEST(NetRecovery, SessionStoreRefusesAMemSectionTail) {
+  VerifierFarm farm(apps::demo_key(), {.workers = 1});
+  provision(farm, /*device=*/92);
+  const auto blob = farm.sessions().serialize();
+
+  std::vector<u8> tailed = blob;
+  const std::vector<u8> mem_header = {'M', 'E', 'M', '1', 3, 0, 0, 0};
+  tailed.insert(tailed.end(), mem_header.begin(), mem_header.end());
+  VerifierFarm fresh(apps::demo_key(), {.workers = 1});
+  EXPECT_FALSE(fresh.sessions().deserialize(tailed));
+  EXPECT_EQ(fresh.sessions().outstanding_count(92), 0u) << "half-loaded";
+  EXPECT_TRUE(fresh.sessions().deserialize(blob));
+  EXPECT_EQ(fresh.sessions().outstanding_count(92), 1u);
 }
 
 // The acceptance scenario: kill the verifier mid-session, restore a fresh
@@ -568,52 +623,6 @@ TEST(NetRecovery, SnapshotRestoreMidSessionResumesToSameDigest) {
   EXPECT_EQ(outcome.verdict->digest, baseline) << "seed=" << kSeed;
 }
 
-// The VSS1 v2 snapshot carries one warm memo-cache section per provisioned
-// deployment, keyed by expected H_MEM: a recovered endpoint whose farm
-// re-provisions the same image starts with the cache warm, not cold. The
-// cache serves naive/TRACES replays, so this session carries a naive chain.
-TEST(NetRecovery, SnapshotCarriesWarmMemoCacheAcrossRestore) {
-  if constexpr (!verify::kMemoEnabled) GTEST_SKIP() << "RAP_MEMO off";
-  const fault::CampaignOptions options;
-  const PreparedApp& prepared = fixture().prepared;
-  const cfa::Challenge& chal = fixture().clean.chal;
-  const apps::MethodRun naive = apps::run_naive(
-      prepared, options.app_seed,
-      sim::MachineConfig{.mtb_buffer_bytes = options.mtb_buffer_bytes},
-      cfa::SessionOptions{.watermark_bytes = options.watermark_bytes}, chal);
-  ASSERT_TRUE(naive.functional_ok);
-  // A private deployment so this test controls its own cache warmth; short
-  // memo windows guarantee cache traffic (same settings as the memo
-  // differentials).
-  const verify::MemoOptions dense{.window_packets = 4};
-  const auto warm_deployment = Deployment::naive(
-      prepared.built.program, prepared.built.entry, dense);
-  VerifierFarm farm(apps::demo_key(), {.workers = 1});
-  farm.provision(120, warm_deployment, fixture().config);
-  farm.adopt_challenge(120, chal);
-  VerifierEndpoint endpoint(farm);
-  DuplexLink link(LinkModel{}, LinkModel{}, /*seed=*/9);
-  ProverEndpoint prover(120, 1, naive.attestation.reports, {}, /*seed=*/9);
-  const SessionOutcome outcome = run_session(prover, endpoint, link);
-  ASSERT_EQ(outcome.phase, ProverPhase::Done);
-  ASSERT_EQ(outcome.verdict->verdict, Verdict::Accept);
-  ASSERT_GT(warm_deployment->memo().stats().entries, 0u)
-      << "session never warmed the cache; the test is vacuous";
-  const auto snapshot = endpoint.snapshot();
-
-  // Crash: fresh farm, fresh deployment of the same image (fresh = cold
-  // cache), restore. The warm section must land in the new cache.
-  const auto fresh_deployment = Deployment::naive(
-      prepared.built.program, prepared.built.entry, dense);
-  ASSERT_EQ(fresh_deployment->memo().stats().entries, 0u);
-  VerifierFarm recovered(apps::demo_key(), {.workers = 1});
-  recovered.provision(120, fresh_deployment, fixture().config);
-  VerifierEndpoint restored(recovered);
-  ASSERT_TRUE(restored.restore(snapshot));
-  EXPECT_GT(fresh_deployment->memo().stats().entries, 0u)
-      << "restore never warmed the re-provisioned deployment's cache";
-}
-
 TEST(NetRecovery, SnapshotRejectsCorruptionTruncationAndBadMagic) {
   VerifierFarm farm(apps::demo_key(), {.workers = 1});
   provision(farm, /*device=*/110);
@@ -630,6 +639,35 @@ TEST(NetRecovery, SnapshotRejectsCorruptionTruncationAndBadMagic) {
   EXPECT_FALSE(endpoint.restore({}));
   // The original blob still loads after all the failed attempts.
   EXPECT_TRUE(endpoint.restore(blob));
+}
+
+// Only the version restore() writes is accepted. A v2 snapshot (the layout
+// that appended per-deployment memo sections) is refused whole even with a
+// valid CRC; the same fields stamped v3, without that section, restore.
+TEST(NetRecovery, SnapshotRefusesVersionTwoEvenWithValidCrc) {
+  VerifierFarm farm(apps::demo_key(), {.workers = 1});
+  VerifierEndpoint endpoint(farm);
+  const std::vector<u8> store = farm.sessions().serialize();
+  const auto put_u32 = [](std::vector<u8>& out, u32 value) {
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(static_cast<u8>(value >> (8 * i)));
+    }
+  };
+  // "VSS1" | version | len-prefixed SST1 | session count [| section count]
+  // | crc32 over everything before it.
+  const auto build = [&](u32 version, bool memo_sections) {
+    std::vector<u8> out = {'V', 'S', 'S', '1'};
+    put_u32(out, version);
+    put_u32(out, static_cast<u32>(store.size()));
+    out.insert(out.end(), store.begin(), store.end());
+    put_u32(out, 0);                    // delivery sessions
+    if (memo_sections) put_u32(out, 0);  // per-deployment memo sections
+    put_u32(out, crc32(out));
+    return out;
+  };
+  EXPECT_FALSE(endpoint.restore(build(2, true)));
+  EXPECT_TRUE(endpoint.restore(build(3, false)));
+  EXPECT_EQ(build(3, false), endpoint.snapshot());
 }
 
 // -- soak --------------------------------------------------------------------

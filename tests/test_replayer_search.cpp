@@ -7,6 +7,7 @@
 
 #include "apps/runner.hpp"
 #include "asm/assembler.hpp"
+#include "common/hex.hpp"
 #include "cfa/provers.hpp"
 #include "gen_corpus.hpp"
 #include "rewrite/rap_rewriter.hpp"
@@ -226,6 +227,26 @@ __code_end:
   EXPECT_TRUE(result.complete) << result.failure;
   ASSERT_FALSE(result.findings.empty());
   EXPECT_NE(result.findings[0].description.find("ROP"), std::string::npos);
+}
+
+// The replay index is built from the deployment's own bytes, so a word it
+// could not decode is data: stepping onto it fails the replay outright.
+TEST(ReplaySearch, BranchIntoADataWordFailsAsUndefined) {
+  const Built b = build(R"(
+_start:
+    b data
+data:
+    .word 0xffffffff
+__code_end:
+  )");
+  const Address data = *b.program.symbol("data");
+  ASSERT_FALSE(b.program.instruction_at(data).has_value());
+  const auto deployment = Deployment::naive(b.program, b.entry);
+  ReplayInputs inputs;
+  inputs.packets.push_back({b.entry, data, false});
+  const ReplayResult result = PathReplayer(*deployment).replay(inputs);
+  EXPECT_FALSE(result.complete);
+  EXPECT_EQ(result.failure, "undefined instruction at " + hex32(data));
 }
 
 TEST(ReplaySearch, DeepRecursionParsesQuickly) {
