@@ -1,107 +1,182 @@
 #include "verify/deployment.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 #include <utility>
 
+#include "common/hex.hpp"
 #include "crypto/sha256.hpp"
 
 namespace raptrack::verify {
 
+namespace {
+
+StepKind step_kind(const isa::Instruction& in) {
+  switch (isa::branch_kind(in)) {
+    case isa::BranchKind::None:
+      return in.op == isa::Op::SVC ? StepKind::Svc : StepKind::Data;
+    case isa::BranchKind::Direct: return StepKind::Direct;
+    case isa::BranchKind::DirectCall: return StepKind::DirectCall;
+    case isa::BranchKind::Conditional: return StepKind::Conditional;
+    case isa::BranchKind::IndirectCall: return StepKind::IndirectCall;
+    case isa::BranchKind::IndirectJump: return StepKind::IndirectJump;
+    case isa::BranchKind::Return:
+      return in.op == isa::Op::BX ? StepKind::ReturnLr : StepKind::ReturnPop;
+    case isa::BranchKind::Halt: return StepKind::Halt;
+  }
+  return StepKind::Undefined;
+}
+
+/// Last record whose [base, end) contains `addr`: records are disjoint, so
+/// the candidate is the last one based at or below it.
+template <typename Record, typename Base, typename End>
+const Record* containing(const std::vector<const Record*>& by_base,
+                         Address addr, Base base, End end) {
+  auto it = std::upper_bound(
+      by_base.begin(), by_base.end(), addr,
+      [&](Address a, const Record* r) { return a < r->*base; });
+  if (it == by_base.begin()) return nullptr;
+  const Record* record = *(it - 1);
+  return addr < record->*end ? record : nullptr;
+}
+
+template <typename Record, typename Base>
+std::vector<const Record*> sorted_by(const std::vector<Record>& records,
+                                     Base base) {
+  std::vector<const Record*> out;
+  out.reserve(records.size());
+  for (const auto& record : records) out.push_back(&record);
+  std::sort(out.begin(), out.end(), [&](const Record* a, const Record* b) {
+    return a->*base < b->*base;
+  });
+  return out;
+}
+
+}  // namespace
+
 ReplayIndex::ReplayIndex(const Program& program, ReplayMode mode,
                          const rewrite::Manifest* rap,
                          const instr::TracesManifest* traces)
-    : decoded_(program.base(), program.bytes()) {
-  // Static successor map: resolve every direct / direct-call / conditional
-  // branch target once, so the replay hot loop never re-computes them.
-  targets_.assign(decoded_.slot_count(), 0);
-  for (size_t i = 0; i < targets_.size(); ++i) {
-    const Address pc = decoded_.base() + static_cast<Address>(i * 4);
-    const auto& slot = decoded_.slot(pc);
-    if (slot.kind != isa::SlotKind::Valid) continue;
-    switch (isa::branch_kind(slot.instr)) {
-      case isa::BranchKind::Direct:
-      case isa::BranchKind::DirectCall:
-      case isa::BranchKind::Conditional:
-        targets_[i] = isa::branch_target(slot.instr, pc);
+    : base_(program.base()) {
+  if (base_ % 4 != 0) {
+    throw Error("ReplayIndex: base " + hex32(base_) + " is not word-aligned");
+  }
+  const auto bytes = program.bytes();
+  const size_t words = bytes.size() / 4;  // a trailing partial word is not code
+  end_ = base_ + static_cast<Address>(words * 4);
+  steps_.resize(words);
+
+  const bool is_rap = mode == ReplayMode::Rap && rap != nullptr;
+  const bool is_traces = mode == ReplayMode::Traces && traces != nullptr;
+  // Per-site and per-SVC maps keep the first record, matching the linear
+  // first-match semantics of the manifests' own lookups.
+  std::unordered_map<Address, const rewrite::SlotRecord*> slot_by_site;
+  std::unordered_map<Address, const rewrite::LoopVeneerRecord*> rap_svc;
+  std::vector<const instr::VeneerRecord*> veneers_by_base;
+  std::unordered_map<Address, const instr::VeneerRecord*> traces_svc;
+  if (is_rap) {
+    slots_by_base_ = sorted_by(rap->slots, &rewrite::SlotRecord::slot_base);
+    for (const auto& slot : rap->slots) slot_by_site.emplace(slot.site, &slot);
+    for (const auto& veneer : rap->loop_veneers) {
+      rap_svc.emplace(veneer.svc_addr, &veneer);
+    }
+  }
+  if (is_traces) {
+    veneers_by_base =
+        sorted_by(traces->veneers, &instr::VeneerRecord::veneer_base);
+    for (const auto& veneer : traces->veneers) {
+      traces_svc.emplace(veneer.svc_addr, &veneer);
+    }
+  }
+  const auto find = [](const auto& map, Address key) {
+    const auto it = map.find(key);
+    return it != map.end() ? it->second : nullptr;
+  };
+
+  for (size_t i = 0; i < words; ++i) {
+    const Address pc = base_ + static_cast<Address>(i * 4);
+    const u32 word = static_cast<u32>(bytes[i * 4]) |
+                     static_cast<u32>(bytes[i * 4 + 1]) << 8 |
+                     static_cast<u32>(bytes[i * 4 + 2]) << 16 |
+                     static_cast<u32>(bytes[i * 4 + 3]) << 24;
+    const auto decoded = isa::decode(word);
+    if (!decoded) continue;  // stays Undefined
+    ReplayStep& step = steps_[i];
+    step.instr = *decoded;
+    step.kind = step_kind(step.instr);
+    if (mode == ReplayMode::Naive ||
+        (is_rap && pc >= rap->mtbar_base && pc <= rap->mtbar_limit)) {
+      step.flags |= ReplayStep::kLogged;
+    }
+    switch (step.kind) {
+      case StepKind::Direct:
+      case StepKind::DirectCall:
+        step.target = isa::branch_target(step.instr, pc);
+        break;
+      case StepKind::Conditional:
+        step.target = isa::branch_target(step.instr, pc);
+        if (is_rap) step.site_slot = find(slot_by_site, pc);
+        if (is_traces) {
+          const auto* veneer =
+              containing(veneers_by_base, pc, &instr::VeneerRecord::veneer_base,
+                         &instr::VeneerRecord::veneer_end);
+          if (veneer && veneer->kind == instr::VeneerKind::Conditional &&
+              pc == veneer->veneer_base + 4) {
+            step.flags |= ReplayStep::kCondVeneer;
+          }
+        }
+        break;
+      case StepKind::IndirectJump:
+        // A BX rm inside a RAP IndirectCall slot or a TRACES indirect-call
+        // veneer is semantically a call: the call-target policy applies to
+        // the original site.
+        if (is_rap) {
+          if (const auto* slot = slot_containing(pc);
+              slot && slot->kind == rewrite::SlotKind::IndirectCall) {
+            step.flags |= ReplayStep::kCallSite;
+            step.call_site = slot->site;
+          }
+        }
+        if (is_traces) {
+          if (const auto* veneer = containing(
+                  veneers_by_base, pc, &instr::VeneerRecord::veneer_base,
+                  &instr::VeneerRecord::veneer_end);
+              veneer && veneer->kind == instr::VeneerKind::IndirectCall) {
+            step.flags |= ReplayStep::kCallSite;
+            step.call_site = veneer->site;
+          }
+        }
+        break;
+      case StepKind::Svc:
+        if (const auto* veneer = is_rap ? find(rap_svc, pc) : nullptr) {
+          step.flags |= ReplayStep::kSvcVeneer | ReplayStep::kSvcLoop;
+          step.svc_iterator = veneer->loop.iterator;
+        }
+        if (const auto* veneer = is_traces ? find(traces_svc, pc) : nullptr) {
+          // Branch-logging SVCs log nothing here: the instruction after
+          // them consumes the stream.
+          step.flags |= ReplayStep::kSvcVeneer;
+          if (veneer->kind == instr::VeneerKind::LoopCondition) {
+            step.flags |= ReplayStep::kSvcLoop;
+            step.svc_iterator = veneer->loop.value().iterator;
+          }
+        }
         break;
       default:
         break;
     }
   }
-
-  if (mode == ReplayMode::Rap && rap != nullptr) {
-    has_mtbar_ = true;
-    mtbar_base_ = rap->mtbar_base;
-    mtbar_limit_ = rap->mtbar_limit;
-    slots_by_base_.reserve(rap->slots.size());
-    slot_by_site_.reserve(rap->slots.size());
-    for (const auto& slot : rap->slots) {
-      slots_by_base_.push_back(&slot);
-      // emplace keeps the first record per site — matching the linear
-      // first-match semantics of Manifest::slot_for_site.
-      slot_by_site_.emplace(slot.site, &slot);
-    }
-    std::sort(slots_by_base_.begin(), slots_by_base_.end(),
-              [](const rewrite::SlotRecord* a, const rewrite::SlotRecord* b) {
-                return a->slot_base < b->slot_base;
-              });
-    rap_svc_.reserve(rap->loop_veneers.size());
-    for (const auto& veneer : rap->loop_veneers) {
-      rap_svc_.emplace(veneer.svc_addr, &veneer);
-    }
-  }
-
-  if (mode == ReplayMode::Traces && traces != nullptr) {
-    veneers_by_base_.reserve(traces->veneers.size());
-    traces_svc_.reserve(traces->veneers.size());
-    for (const auto& veneer : traces->veneers) {
-      veneers_by_base_.push_back(&veneer);
-      traces_svc_.emplace(veneer.svc_addr, &veneer);
-    }
-    std::sort(veneers_by_base_.begin(), veneers_by_base_.end(),
-              [](const instr::VeneerRecord* a, const instr::VeneerRecord* b) {
-                return a->veneer_base < b->veneer_base;
-              });
+  // Straight-line runs, built backward so each Data step extends its
+  // successor's run; a jump into the middle of a run sees a shorter one.
+  for (size_t i = words; i-- > 0;) {
+    if (steps_[i].kind != StepKind::Data) continue;
+    steps_[i].run = 1 + (i + 1 < words ? steps_[i + 1].run : 0);
   }
 }
 
 const rewrite::SlotRecord* ReplayIndex::slot_containing(Address addr) const {
-  // Last slot whose base is <= addr (slots are disjoint), then bounds-check.
-  auto it = std::upper_bound(
-      slots_by_base_.begin(), slots_by_base_.end(), addr,
-      [](Address a, const rewrite::SlotRecord* s) { return a < s->slot_base; });
-  if (it == slots_by_base_.begin()) return nullptr;
-  const rewrite::SlotRecord* slot = *(it - 1);
-  return addr < slot->slot_end ? slot : nullptr;
-}
-
-const rewrite::SlotRecord* ReplayIndex::slot_for_site(Address site) const {
-  const auto it = slot_by_site_.find(site);
-  return it != slot_by_site_.end() ? it->second : nullptr;
-}
-
-const rewrite::LoopVeneerRecord* ReplayIndex::rap_veneer_at_svc(
-    Address svc_addr) const {
-  const auto it = rap_svc_.find(svc_addr);
-  return it != rap_svc_.end() ? it->second : nullptr;
-}
-
-const instr::VeneerRecord* ReplayIndex::traces_veneer_containing(
-    Address addr) const {
-  auto it = std::upper_bound(veneers_by_base_.begin(), veneers_by_base_.end(),
-                             addr,
-                             [](Address a, const instr::VeneerRecord* v) {
-                               return a < v->veneer_base;
-                             });
-  if (it == veneers_by_base_.begin()) return nullptr;
-  const instr::VeneerRecord* veneer = *(it - 1);
-  return addr < veneer->veneer_end ? veneer : nullptr;
-}
-
-const instr::VeneerRecord* ReplayIndex::traces_veneer_at_svc(
-    Address svc_addr) const {
-  const auto it = traces_svc_.find(svc_addr);
-  return it != traces_svc_.end() ? it->second : nullptr;
+  return containing(slots_by_base_, addr, &rewrite::SlotRecord::slot_base,
+                    &rewrite::SlotRecord::slot_end);
 }
 
 Deployment::Deployment(ReplayMode mode, Program program,

@@ -7,11 +7,10 @@
 // adjudicates thousands of chains against the *same* deployed image, so all
 // of that is hoisted here and computed exactly once:
 //
-//   * ReplayIndex — dense predecoded instruction array (reusing
-//     isa::DecodedImage), a per-instruction static branch-target table (the
-//     CFG successor map at instruction granularity), O(log n)/O(1) MTBAR
-//     slot and veneer lookups, and the slot→original-site reverse map the
-//     audit needs;
+//   * ReplayIndex — a dense per-pc step table: the decoded instruction, its
+//     replay kind, static target, "logged" bit, the RAP site slot, the
+//     RAP/TRACES veneer facts and the length of the straight-line data run
+//     starting there; plus the MTBAR slot reverse map the audit needs;
 //   * Deployment — an immutable, self-contained bundle of the expected
 //     program, its manifest, the expected H_MEM, and the ReplayIndex.
 //
@@ -23,13 +22,12 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "asm/program.hpp"
 #include "crypto/sha256.hpp"
 #include "instr/traces_rewriter.hpp"
-#include "isa/decoded_image.hpp"
+#include "isa/instruction.hpp"
 #include "rewrite/manifest.hpp"
 #include "verify/memo.hpp"
 #include "verify/replayer.hpp"
@@ -40,64 +38,75 @@ struct SpeculationDict;
 
 namespace raptrack::verify {
 
+/// What the replay engine does at one pc. BranchKind, with the data
+/// instructions split from SVC gateways and the two return forms apart.
+enum class StepKind : u8 {
+  Undefined,     ///< the word does not decode
+  Data,          ///< straight-line data instruction: valuation transfer only
+  Svc,           ///< Secure-World gateway (RAP / TRACES veneers)
+  Halt,          ///< HLT / BKPT
+  Direct,        ///< B
+  DirectCall,    ///< BL
+  Conditional,   ///< BCC
+  IndirectCall,  ///< BLX rm
+  IndirectJump,  ///< BX rm (rm != LR), LDR pc, LDRR pc
+  ReturnLr,      ///< BX LR: unmonitored leaf return (§IV-C.2)
+  ReturnPop,     ///< POP {…,pc}
+};
+
+/// One pc's static replay facts, resolved once per deployment so the replay
+/// loop does no classification, hashing or searching per step.
+struct ReplayStep {
+  /// Bits of `flags`.
+  static constexpr u8 kLogged = 1;      ///< Naive, or pc inside MTBAR
+  static constexpr u8 kCondVeneer = 2;  ///< TRACES: Bcc reading a direction bit
+  static constexpr u8 kCallSite = 4;    ///< IndirectJump that is a call (below)
+  static constexpr u8 kSvcVeneer = 8;   ///< SVC belongs to a RAP/TRACES veneer
+  static constexpr u8 kSvcLoop = 16;    ///< ...that logs a loop-condition value
+
+  isa::Instruction instr{};
+  /// RAP Conditional outside MTBAR: the slot the rewriter gave this original
+  /// site (first manifest record for it), or null.
+  const rewrite::SlotRecord* site_slot = nullptr;
+  /// Data: length of the straight-line run of Data steps starting here,
+  /// this one included. 0 for every other kind.
+  u32 run = 0;
+  /// Direct / DirectCall / Conditional: the static taken-edge target.
+  Address target = 0;
+  /// kCallSite: the original call site of the RAP IndirectCall slot or
+  /// TRACES indirect-call veneer this BX sits in (call-target policy).
+  Address call_site = 0;
+  StepKind kind = StepKind::Undefined;
+  u8 flags = 0;
+  /// kSvcLoop: the register the logged loop-condition value is written to.
+  isa::Reg svc_iterator = isa::Reg::R0;
+
+  bool has(u8 flag) const { return (flags & flag) != 0; }
+};
+
 /// Precomputed lookup structures over one deployed image. Built once per
-/// Deployment; immutable after construction. All returned pointers
-/// reference the backing program and manifest, which must outlive the index.
+/// Deployment in one linear pass; immutable after construction. All returned
+/// pointers reference the backing manifest, which must outlive the index.
 class ReplayIndex {
  public:
   ReplayIndex(const Program& program, ReplayMode mode,
               const rewrite::Manifest* rap,
               const instr::TracesManifest* traces);
 
-  bool contains(Address pc) const { return decoded_.contains(pc); }
+  bool contains(Address pc) const { return pc >= base_ && pc < end_; }
 
-  /// Predecoded instruction at an aligned, contained pc. nullptr when the
-  /// word does not decode: the index is built from the deployment's own
-  /// bytes with the default cycle model and never invalidated, so predecode
-  /// declines nothing that Program::instruction_at would decode.
-  const isa::Instruction* instruction_at(Address pc) const {
-    const auto& slot = decoded_.slot(pc);
-    return slot.kind == isa::SlotKind::Valid ? &slot.instr : nullptr;
-  }
+  /// Step-table entry for an aligned, contained pc. Consecutive pcs are
+  /// consecutive entries, so a run of `run` Data steps reads in one sweep.
+  const ReplayStep& step(Address pc) const { return steps_[(pc - base_) >> 2]; }
 
-  /// Static successor map: the precomputed taken-edge destination of the
-  /// direct / conditional / direct-call instruction at `pc` (0 for every
-  /// other instruction — those kinds always have a nonzero target here).
-  Address branch_target(Address pc) const {
-    return targets_[(pc - decoded_.base()) >> 2];
-  }
-
-  // -- RAP manifest lookups (indexed equivalents of rewrite::Manifest) ------
-  bool in_mtbar(Address addr) const {
-    return has_mtbar_ && addr >= mtbar_base_ && addr <= mtbar_limit_;
-  }
+  /// MTBAR slot containing `addr` (the audit's reverse map), or null.
   const rewrite::SlotRecord* slot_containing(Address addr) const;
-  const rewrite::SlotRecord* slot_for_site(Address site) const;
-  const rewrite::LoopVeneerRecord* rap_veneer_at_svc(Address svc_addr) const;
-
-  // -- TRACES manifest lookups ----------------------------------------------
-  const instr::VeneerRecord* traces_veneer_containing(Address addr) const;
-  const instr::VeneerRecord* traces_veneer_at_svc(Address svc_addr) const;
-
-  /// Original-program address for a reconstructed event source: MTBAR slot
-  /// sources map back to the rewritten site (the audit's reverse map).
-  Address original_site(Address source) const {
-    const auto* slot = slot_containing(source);
-    return slot != nullptr ? slot->site : source;
-  }
 
  private:
-  isa::DecodedImage decoded_;
-  std::vector<Address> targets_;  ///< per-slot static branch target (or 0)
-
-  bool has_mtbar_ = false;
-  Address mtbar_base_ = 0;
-  Address mtbar_limit_ = 0;
+  Address base_ = 0;
+  Address end_ = 0;
+  std::vector<ReplayStep> steps_;
   std::vector<const rewrite::SlotRecord*> slots_by_base_;  ///< sorted
-  std::unordered_map<Address, const rewrite::SlotRecord*> slot_by_site_;
-  std::unordered_map<Address, const rewrite::LoopVeneerRecord*> rap_svc_;
-  std::vector<const instr::VeneerRecord*> veneers_by_base_;  ///< sorted
-  std::unordered_map<Address, const instr::VeneerRecord*> traces_svc_;
 };
 
 /// Per-deployment verification configuration: small, copyable, and distinct

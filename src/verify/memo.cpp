@@ -35,17 +35,6 @@ struct MemoObsMetrics {
 
 }  // namespace
 
-u64 MemoValuation::hash() const {
-  u64 h = 0x243f6a8885a308d3ull;
-  const auto mix = [&h](u64 v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  };
-  for (const u32 reg : regs) mix(reg);
-  mix(known);
-  mix(flags);
-  return h;
-}
-
 size_t MemoSegment::bytes() const {
   return sizeof(MemoSegment) + popped.capacity() * sizeof(Address) +
          packets.capacity() * sizeof(trace::BranchPacket) +
@@ -73,6 +62,7 @@ MemoCache::MemoCache(MemoOptions options) : options_(options) {
   while ((shard_count & (shard_count - 1)) != 0) ++shard_count;
   options_.shards = shard_count;
   shard_mask_ = shard_count - 1;
+  options_.window_packets = std::max<u32>(1, options_.window_packets);
   shard_budget_ = std::max<size_t>(1, options_.budget_bytes / shard_count);
   shards_ = std::vector<Shard>(shard_count);
   const size_t slots = std::max<size_t>(kProbe, options_.slots_per_shard);

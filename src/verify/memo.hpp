@@ -36,7 +36,6 @@
 // never attaches the cache and the engine runs the unmemoized code path.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -45,6 +44,7 @@
 #include "common/types.hpp"
 #include "trace/branch_packet.hpp"
 #include "trace/trace_fabric.hpp"
+#include "verify/valuation.hpp"
 
 namespace raptrack::verify {
 
@@ -52,28 +52,13 @@ namespace raptrack::verify {
 /// report, which prints it.
 inline constexpr bool kMemoEnabled = true;
 
-/// Packed snapshot of the replay engine's constant-propagating valuation:
-/// sixteen optional registers (known mask + values) and the four optional
-/// NZCV flags (low nibble = values, high nibble = known). Exact equality of
-/// two snapshots means the engines would make identical flag/register
-/// decisions.
-struct MemoValuation {
-  std::array<u32, 16> regs{};
-  u16 known = 0;  ///< bit i set when regs[i] holds a known value
-  u8 flags = 0;   ///< bits 0-3 NZCV values, bits 4-7 NZCV known
-
-  u64 hash() const;
-
-  friend bool operator==(const MemoValuation&, const MemoValuation&) = default;
-};
-
 /// One memoized segment: the exact-match entry guards (key side) and the
 /// recorded effects to splice on a hit (value side). Immutable once
 /// inserted; shared across threads by const pointer.
 struct MemoSegment {
   // -- key side: the segment applies only when ALL of these match ----------
   Address entry_pc = 0;
-  MemoValuation entry_val;
+  Valuation entry_val;
   u64 policy_hash = 0;  ///< call-target policy fingerprint (affects findings)
   /// Shadow-stack entries the segment consumes, top-of-stack first.
   std::vector<Address> popped;
@@ -97,12 +82,11 @@ struct MemoSegment {
 
   // -- value side: effects spliced into the engine on a hit ----------------
   Address exit_pc = 0;
-  MemoValuation exit_val;
+  Valuation exit_val;
   /// Shadow-stack entries live above the popped point at exit, bottom first.
   std::vector<Address> pushed;
   std::vector<trace::OracleEvent> events;
   u64 steps = 0;
-  u64 index_hits = 0;
 
   /// Approximate heap footprint, for the shard byte budget.
   size_t bytes() const;
@@ -122,7 +106,9 @@ struct MemoOptions {
   /// Segment length: packets consumed before the recorder closes a segment
   /// and anchors the next one. Matches the per-report chunk size at the
   /// default 128-byte watermark (16 packets), so whole repeated reports
-  /// memoize as chains of window hits.
+  /// memoize as chains of window hits. At least 1 (0 is raised to 1): a
+  /// window only closes after evidence moved, which a straight-line run of
+  /// data instructions never does, so anchors never fall inside one.
   u32 window_packets = 16;
 };
 

@@ -1,296 +1,24 @@
 #include "verify/replayer.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 #include <optional>
+#include <utility>
 
-#include "common/bits.hpp"
 #include "common/hex.hpp"
-#include "obs/metrics.hpp"
 #include "verify/deployment.hpp"
 #include "verify/memo.hpp"
+#include "verify/valuation.hpp"
 
 namespace raptrack::verify {
 
 using isa::BranchKind;
-using isa::Cond;
-using isa::Instruction;
-using isa::Op;
 using isa::Reg;
 using trace::BranchPacket;
 
 namespace {
 
-/// Per-flag shadow state: each of NZCV is independently known or unknown.
-struct ShadowFlags {
-  std::optional<bool> n, z, c, v;
-
-  void set_all_unknown() { n = z = c = v = std::nullopt; }
-};
-
-/// Evaluate a condition when the flags it needs are known.
-std::optional<bool> evaluate_shadow(Cond cond, const ShadowFlags& f) {
-  const auto need = [](std::optional<bool> flag) { return flag; };
-  switch (cond) {
-    case Cond::EQ: return need(f.z);
-    case Cond::NE: return f.z ? std::optional<bool>(!*f.z) : std::nullopt;
-    case Cond::CS: return need(f.c);
-    case Cond::CC: return f.c ? std::optional<bool>(!*f.c) : std::nullopt;
-    case Cond::MI: return need(f.n);
-    case Cond::PL: return f.n ? std::optional<bool>(!*f.n) : std::nullopt;
-    case Cond::VS: return need(f.v);
-    case Cond::VC: return f.v ? std::optional<bool>(!*f.v) : std::nullopt;
-    case Cond::HI:
-      if (f.c && f.z) return *f.c && !*f.z;
-      return std::nullopt;
-    case Cond::LS:
-      if (f.c && f.z) return !*f.c || *f.z;
-      return std::nullopt;
-    case Cond::GE:
-      if (f.n && f.v) return *f.n == *f.v;
-      return std::nullopt;
-    case Cond::LT:
-      if (f.n && f.v) return *f.n != *f.v;
-      return std::nullopt;
-    case Cond::GT:
-      if (f.z && f.n && f.v) return !*f.z && *f.n == *f.v;
-      return std::nullopt;
-    case Cond::LE:
-      if (f.z && f.n && f.v) return *f.z || *f.n != *f.v;
-      return std::nullopt;
-    case Cond::AL: return true;
-  }
-  return std::nullopt;
-}
-
-/// Constant-propagating register valuation along the reconstructed path.
-struct Valuation {
-  std::array<std::optional<u32>, 16> regs{};
-  ShadowFlags flags;
-
-  std::optional<u32> read(Reg r, Address pc) const {
-    if (r == Reg::PC) return pc + 4;
-    return regs[isa::index(r)];
-  }
-
-  void write(Reg r, std::optional<u32> value) {
-    if (r == Reg::PC) return;  // control flow handled by the replayer
-    regs[isa::index(r)] = value;
-  }
-
-  void set_nz(std::optional<u32> result) {
-    if (result) {
-      flags.n = (*result >> 31) != 0;
-      flags.z = *result == 0;
-    } else {
-      flags.n = flags.z = std::nullopt;
-    }
-  }
-
-  void set_add_flags(std::optional<u32> a, std::optional<u32> b) {
-    if (a && b) {
-      const u64 wide = static_cast<u64>(*a) + *b;
-      const u32 result = static_cast<u32>(wide);
-      set_nz(result);
-      flags.c = (wide >> 32) != 0;
-      flags.v = (~(*a ^ *b) & (*a ^ result) & 0x8000'0000u) != 0;
-    } else {
-      flags.set_all_unknown();
-    }
-  }
-
-  void set_sub_flags(std::optional<u32> a, std::optional<u32> b) {
-    if (a && b) {
-      const u32 result = *a - *b;
-      set_nz(result);
-      flags.c = *a >= *b;
-      flags.v = ((*a ^ *b) & (*a ^ result) & 0x8000'0000u) != 0;
-    } else {
-      flags.set_all_unknown();
-    }
-  }
-
-  /// Model the data effects of a non-control-flow instruction.
-  void apply(const Instruction& in, Address pc) {
-    const auto rn = [&] { return read(in.rn, pc); };
-    const auto rm = [&] { return read(in.rm, pc); };
-    const auto imm = [&] { return std::optional<u32>(static_cast<u32>(in.imm)); };
-    const auto binop = [&](std::optional<u32> a, std::optional<u32> b,
-                           auto&& fn) -> std::optional<u32> {
-      if (a && b) return fn(*a, *b);
-      return std::nullopt;
-    };
-
-    switch (in.op) {
-      case Op::MOVI:
-        write(in.rd, static_cast<u32>(in.imm));
-        break;
-      case Op::MOVT: {
-        const auto old = read(in.rd, pc);
-        write(in.rd, old ? std::optional<u32>((*old & 0xffffu) |
-                                              (static_cast<u32>(in.imm) << 16))
-                         : std::nullopt);
-        break;
-      }
-      case Op::MOV: {
-        const auto value = rm();
-        write(in.rd, value);
-        if (in.set_flags) set_nz(value);
-        break;
-      }
-      case Op::MVN: {
-        const auto value = rm();
-        const auto result = value ? std::optional<u32>(~*value) : std::nullopt;
-        write(in.rd, result);
-        if (in.set_flags) set_nz(result);
-        break;
-      }
-      case Op::ADD: case Op::ADDI: {
-        const auto b = in.op == Op::ADD ? rm() : imm();
-        const auto result = binop(rn(), b, [](u32 x, u32 y) { return x + y; });
-        write(in.rd, result);
-        if (in.set_flags) set_add_flags(rn(), b);
-        break;
-      }
-      case Op::SUB: case Op::SUBI: {
-        const auto a = rn();
-        const auto b = in.op == Op::SUB ? rm() : imm();
-        if (in.set_flags) set_sub_flags(a, b);
-        write(in.rd, binop(a, b, [](u32 x, u32 y) { return x - y; }));
-        break;
-      }
-      case Op::RSB: case Op::RSBI: {
-        const auto a = rn();
-        const auto b = in.op == Op::RSB ? rm() : imm();
-        if (in.set_flags) set_sub_flags(b, a);
-        write(in.rd, binop(b, a, [](u32 x, u32 y) { return x - y; }));
-        break;
-      }
-      case Op::MUL: {
-        const auto result = binop(rn(), rm(), [](u32 x, u32 y) { return x * y; });
-        write(in.rd, result);
-        if (in.set_flags) set_nz(result);
-        break;
-      }
-      case Op::UDIV:
-        write(in.rd, binop(rn(), rm(), [](u32 x, u32 y) { return y ? x / y : 0; }));
-        break;
-      case Op::SDIV:
-        write(in.rd, binop(rn(), rm(), [](u32 x, u32 y) {
-                const i32 n = static_cast<i32>(x), d = static_cast<i32>(y);
-                if (d == 0) return 0u;
-                if (n == INT32_MIN && d == -1) return static_cast<u32>(INT32_MIN);
-                return static_cast<u32>(n / d);
-              }));
-        break;
-      case Op::AND: case Op::ANDI:
-      case Op::ORR: case Op::ORRI:
-      case Op::EOR: case Op::EORI: {
-        const auto b = isa::format_of(in.op) == isa::Format::AluReg ? rm() : imm();
-        const auto result = binop(rn(), b, [&](u32 x, u32 y) {
-          switch (in.op) {
-            case Op::AND: case Op::ANDI: return x & y;
-            case Op::ORR: case Op::ORRI: return x | y;
-            default: return x ^ y;
-          }
-        });
-        write(in.rd, result);
-        if (in.set_flags) {
-          set_nz(result);
-          flags.c = flags.v = std::nullopt;  // conservatively unknown
-        }
-        break;
-      }
-      case Op::LSL: case Op::LSLI:
-      case Op::LSR: case Op::LSRI:
-      case Op::ASR: case Op::ASRI: {
-        const auto b = isa::format_of(in.op) == isa::Format::AluReg ? rm() : imm();
-        const auto result = binop(rn(), b, [&](u32 x, u32 y) {
-          const u32 amount = y & 0xff;
-          if (in.op == Op::LSL || in.op == Op::LSLI) {
-            return amount >= 32 ? 0u : (x << amount);
-          }
-          if (in.op == Op::LSR || in.op == Op::LSRI) {
-            return amount >= 32 ? 0u : (amount == 0 ? x : x >> amount);
-          }
-          const i32 sx = static_cast<i32>(x);
-          return static_cast<u32>(amount >= 32 ? (sx >> 31) : (sx >> amount));
-        });
-        write(in.rd, result);
-        if (in.set_flags) {
-          set_nz(result);
-          flags.c = flags.v = std::nullopt;
-        }
-        break;
-      }
-      case Op::CMP: case Op::CMPI:
-        set_sub_flags(rn(), in.op == Op::CMP ? rm() : imm());
-        break;
-      case Op::CMN:
-        set_add_flags(rn(), rm());
-        break;
-      case Op::TST: case Op::TSTI: {
-        const auto b = in.op == Op::TST ? rm() : imm();
-        set_nz(binop(rn(), b, [](u32 x, u32 y) { return x & y; }));
-        flags.c = flags.v = std::nullopt;
-        break;
-      }
-      case Op::LDR: case Op::LDRB: case Op::LDRH: case Op::LDRR:
-        write(in.rd, std::nullopt);  // memory contents are not modeled
-        break;
-      case Op::STR: case Op::STRB: case Op::STRH: case Op::STRR:
-      case Op::PUSH:
-        break;  // stores do not affect register state
-      case Op::POP:
-        for (unsigned i = 0; i < 13; ++i) {
-          if (bit(in.reg_list, i)) regs[i] = std::nullopt;
-        }
-        break;
-      default:
-        break;  // NOP/HLT/BKPT/SVC/branches handled by the replayer
-    }
-  }
-};
-
-/// Pack the engine valuation into the memo cache's fixed-size snapshot.
-MemoValuation pack_valuation(const Valuation& val) {
-  MemoValuation out;
-  for (size_t i = 0; i < out.regs.size(); ++i) {
-    if (val.regs[i]) {
-      out.regs[i] = *val.regs[i];
-      out.known |= static_cast<u16>(u16{1} << i);
-    }
-  }
-  const auto pack_flag = [&out](const std::optional<bool>& flag, unsigned bit) {
-    if (flag) {
-      out.flags |= static_cast<u8>(u8{1} << (bit + 4));
-      if (*flag) out.flags |= static_cast<u8>(u8{1} << bit);
-    }
-  };
-  pack_flag(val.flags.n, 0);
-  pack_flag(val.flags.z, 1);
-  pack_flag(val.flags.c, 2);
-  pack_flag(val.flags.v, 3);
-  return out;
-}
-
-void unpack_valuation(const MemoValuation& in, Valuation& val) {
-  for (size_t i = 0; i < in.regs.size(); ++i) {
-    val.regs[i] = (in.known >> i) & 1 ? std::optional<u32>(in.regs[i])
-                                      : std::nullopt;
-  }
-  const auto unpack_flag = [&in](unsigned bit) -> std::optional<bool> {
-    if (((in.flags >> (bit + 4)) & 1) == 0) return std::nullopt;
-    return ((in.flags >> bit) & 1) != 0;
-  };
-  val.flags.n = unpack_flag(0);
-  val.flags.z = unpack_flag(1);
-  val.flags.c = unpack_flag(2);
-  val.flags.v = unpack_flag(3);
-}
-
-u64 memo_key(Address pc, const MemoValuation& val, u64 policy_hash) {
+u64 memo_key(Address pc, const Valuation& val, u64 policy_hash) {
   u64 h = pc * 0x9e3779b97f4a7c15ull;
   h ^= val.hash() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   h ^= policy_hash + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
@@ -377,7 +105,7 @@ class ReplayEngine {
   struct MemoRecording {
     bool active = false;
     Address entry_pc = 0;
-    MemoValuation entry_val;
+    Valuation entry_val;
     size_t entry_packets = 0;
     size_t entry_loops = 0;
     size_t entry_bits = 0;
@@ -385,7 +113,6 @@ class ReplayEngine {
     size_t entry_events = 0;
     size_t entry_stack = 0;
     u64 entry_steps = 0;
-    u64 entry_index_hits = 0;
     /// Lowest shadow-stack depth seen since the anchor; entries popped from
     /// below the anchor depth are part of the segment's key.
     size_t min_stack = 0;
@@ -414,8 +141,6 @@ class ReplayEngine {
     rec_.active = false;  // a failing stretch must never become a segment
     if (pending_failure_.empty()) pending_failure_ = why;
   }
-
-  bool in_mtbar(Address addr) const { return index_.in_mtbar(addr); }
 
   std::optional<BranchPacket> consume_packet(Address src) {
     if (packet_cursor_ >= inputs_.packets.size()) {
@@ -504,8 +229,9 @@ class ReplayEngine {
 
   /// A resolved taken branch: consume/check evidence where required, emit
   /// the event, move the pc.
-  void take_branch(Address target, BranchKind kind) {
-    if (mode_ == ReplayMode::Naive || in_mtbar(pc_)) {
+  void take_branch(const ReplayStep& s, BranchKind kind) {
+    const Address target = s.target;
+    if (s.has(ReplayStep::kLogged)) {
       const auto packet = consume_packet(pc_);
       if (!packet) return;
       if (packet->destination != target) {
@@ -523,7 +249,7 @@ class ReplayEngine {
   /// Indirect target resolution from the mode's evidence stream. In checker
   /// mode the evidence must agree with the script (emit_event enforces the
   /// final comparison).
-  std::optional<Address> indirect_target() {
+  std::optional<Address> indirect_target(const ReplayStep& s) {
     switch (mode_) {
       case ReplayMode::Naive: {
         const auto packet = consume_packet(pc_);
@@ -531,7 +257,7 @@ class ReplayEngine {
         return packet->destination;
       }
       case ReplayMode::Rap: {
-        if (!in_mtbar(pc_)) {
+        if (!s.has(ReplayStep::kLogged)) {
           fail("unlogged indirect branch outside MTBAR at " + hex32(pc_));
           return std::nullopt;
         }
@@ -552,7 +278,7 @@ class ReplayEngine {
   }
 
   /// Decide a conditional branch at pc_.
-  std::optional<bool> decide_conditional(const Instruction& in) {
+  std::optional<bool> decide_conditional(const ReplayStep& s) {
     if (script_) {
       // Checker mode: the script dictates the decision; evidence consistency
       // is still enforced by take_branch/indirect_target.
@@ -568,8 +294,8 @@ class ReplayEngine {
       case ReplayMode::Rap: {
         // A Bcc inside MTBAR sits in a CondBoth slot, whose taken edge and
         // fall-through exit are both logged: decided as in Naive mode.
-        if (in_mtbar(pc_)) return next_packet_from(pc_);
-        if (const auto* slot = index_.slot_for_site(pc_)) {
+        if (s.has(ReplayStep::kLogged)) return next_packet_from(pc_);
+        if (const auto* slot = s.site_slot) {
           // The unlogged direction cannot re-reach this site without a
           // logged branch in between (the rewriter gave every such site a
           // CondBoth slot), so a packet from this slot next means the
@@ -583,19 +309,17 @@ class ReplayEngine {
               slot->kind != rewrite::SlotKind::CondNotTaken;
           return next_in_slot ? logged_direction : !logged_direction;
         }
-        return evaluate_shadow(in.cond, val_.flags);
+        return evaluate_condition(s.instr.cond, val_);
       }
       case ReplayMode::Traces: {
-        const auto* veneer = index_.traces_veneer_containing(pc_);
-        if (veneer && veneer->kind == instr::VeneerKind::Conditional &&
-            pc_ == veneer->veneer_base + 4) {
+        if (s.has(ReplayStep::kCondVeneer)) {
           if (bit_cursor_ >= inputs_.traces_log.direction_bits.size()) {
             fail("TRACES direction-bit stream exhausted");
             return std::nullopt;
           }
           return inputs_.traces_log.direction_bits[bit_cursor_++];
         }
-        return evaluate_shadow(in.cond, val_.flags);
+        return evaluate_condition(s.instr.cond, val_);
       }
     }
     return std::nullopt;
@@ -624,7 +348,7 @@ class ReplayEngine {
   void memo_begin() {
     rec_.active = true;
     rec_.entry_pc = pc_;
-    rec_.entry_val = pack_valuation(val_);
+    rec_.entry_val = val_;
     rec_.entry_packets = packet_cursor_;
     rec_.entry_loops = loop_cursor_;
     rec_.entry_bits = bit_cursor_;
@@ -633,7 +357,6 @@ class ReplayEngine {
     rec_.entry_stack = shadow_stack_.size();
     rec_.min_stack = shadow_stack_.size();
     rec_.entry_steps = result_.steps;
-    rec_.entry_index_hits = result_.index_hits;
     rec_.popped.clear();
     rec_.have_peek = false;
     rec_.have_eos = false;
@@ -690,21 +413,20 @@ class ReplayEngine {
     if (rec_.have_eos && rec_.eos_rel == n_packets) seg->eos_observed = true;
     seg->halted = halted;
     seg->exit_pc = pc_;
-    seg->exit_val = pack_valuation(val_);
+    seg->exit_val = val_;
     seg->pushed.assign(shadow_stack_.begin() + rec_.min_stack,
                        shadow_stack_.end());
     seg->events.assign(result_.events.begin() + rec_.entry_events,
                        result_.events.end());
     seg->steps = steps_delta;
-    seg->index_hits = result_.index_hits - rec_.entry_index_hits;
     const u64 key = memo_key(seg->entry_pc, seg->entry_val, policy_hash_);
     memo_->insert(key, std::move(seg));
   }
 
   /// Full entry-guard validation of a candidate against the live state.
-  bool memo_matches(const MemoSegment& seg, const MemoValuation& val) const {
+  bool memo_matches(const MemoSegment& seg) const {
     if (seg.entry_pc != pc_ || seg.policy_hash != policy_hash_ ||
-        !(seg.entry_val == val)) {
+        !(seg.entry_val == val_)) {
       return false;
     }
     // Live execution of the segment's steps would need this much budget.
@@ -779,21 +501,19 @@ class ReplayEngine {
     loop_cursor_ += seg.loop_values.size();
     bit_cursor_ += seg.direction_bits.size();
     target_cursor_ += seg.indirect_targets.size();
-    unpack_valuation(seg.exit_val, val_);
+    val_ = seg.exit_val;
     pc_ = seg.exit_pc;
     result_.steps += seg.steps;
-    result_.index_hits += seg.index_hits;
     if (seg.halted) memo_halted_ = true;
   }
 
   bool memo_try_apply() {
-    const MemoValuation here = pack_valuation(val_);
-    const u64 key = memo_key(pc_, here, policy_hash_);
+    const u64 key = memo_key(pc_, val_, policy_hash_);
     MemoCache::Handle candidates[MemoCache::kLookupWidth];
     const size_t count =
         memo_->lookup(key, candidates, MemoCache::kLookupWidth);
     for (size_t i = 0; i < count; ++i) {
-      if (memo_matches(*candidates[i], here)) {
+      if (memo_matches(*candidates[i])) {
         memo_apply(*candidates[i]);
         ++result_.memo_hits;
         memo_->note_hit();
@@ -805,93 +525,75 @@ class ReplayEngine {
     return false;
   }
 
-  /// Execute one instruction of the walk. Returns true when the program
-  /// halted cleanly.
-  bool step();
+  /// Retire the straight-line run of data instructions starting at `s`,
+  /// clamped to the step budget: valuation transfer only, no evidence.
+  void retire_run(const ReplayStep& s) {
+    const u64 n = std::min<u64>(s.run, max_steps_ - result_.steps);
+    const ReplayStep* run = &s;
+    for (u64 k = 0; k < n; ++k) {
+      apply_data(val_, run[k].instr, pc_ + static_cast<Address>(4 * k));
+    }
+    result_.steps += n;
+    pc_ += static_cast<Address>(4 * n);
+  }
+
+  /// Execute the one non-data instruction at pc_. Returns true when the
+  /// program halted cleanly.
+  bool step(const ReplayStep& s);
 };
 
-bool ReplayEngine::step() {
-  if (!index_.contains(pc_) || pc_ % 4 != 0) {
-    fail("path left the program image at " + hex32(pc_));
-    return false;
-  }
-  const Instruction* cached = index_.instruction_at(pc_);
-  if (cached == nullptr) {
-    fail("undefined instruction at " + hex32(pc_));
-    return false;
-  }
-  const Instruction& in = *cached;
-  ++result_.index_hits;
-  const BranchKind kind = isa::branch_kind(in);
+bool ReplayEngine::step(const ReplayStep& s) {
+  switch (s.kind) {
+    case StepKind::Undefined:
+      fail("undefined instruction at " + hex32(pc_));
+      break;
 
-  if (kind == BranchKind::Halt) {
-    // All evidence must be accounted for; leftovers indicate injection.
-    if (packet_cursor_ != inputs_.packets.size()) {
-      fail("unconsumed CF_Log packets at halt");
-    } else if (mode_ == ReplayMode::Traces &&
-               (bit_cursor_ != inputs_.traces_log.direction_bits.size() ||
-                target_cursor_ != inputs_.traces_log.indirect_targets.size() ||
-                loop_cursor_ != inputs_.traces_log.loop_conditions.size())) {
-      fail("unconsumed TRACES evidence at halt");
-    } else if (mode_ == ReplayMode::Rap &&
-               loop_cursor_ != inputs_.loop_values.size()) {
-      fail("unconsumed loop-condition values at halt");
-    } else if (script_ && result_.events.size() != script_->size()) {
-      fail("scripted path not fully consumed at halt");
-    }
-    return pending_failure_.empty();
-  }
+    case StepKind::Halt:
+      // All evidence must be accounted for; leftovers indicate injection.
+      if (packet_cursor_ != inputs_.packets.size()) {
+        fail("unconsumed CF_Log packets at halt");
+      } else if (mode_ == ReplayMode::Traces &&
+                 (bit_cursor_ != inputs_.traces_log.direction_bits.size() ||
+                  target_cursor_ != inputs_.traces_log.indirect_targets.size() ||
+                  loop_cursor_ != inputs_.traces_log.loop_conditions.size())) {
+        fail("unconsumed TRACES evidence at halt");
+      } else if (mode_ == ReplayMode::Rap &&
+                 loop_cursor_ != inputs_.loop_values.size()) {
+        fail("unconsumed loop-condition values at halt");
+      } else if (script_ && result_.events.size() != script_->size()) {
+        fail("scripted path not fully consumed at halt");
+      }
+      return pending_failure_.empty();
 
-  switch (kind) {
-    case BranchKind::None: {
-      if (in.op == Op::SVC) {
-        if (mode_ == ReplayMode::Rap) {
-          const auto* veneer = index_.rap_veneer_at_svc(pc_);
-          if (!veneer) {
-            fail("unexpected SVC at " + hex32(pc_));
-            break;
-          }
-          const auto value = consume_loop_value(false);
-          if (!value) break;
-          val_.write(veneer->loop.iterator, *value);
-        } else if (mode_ == ReplayMode::Traces) {
-          const auto* veneer = index_.traces_veneer_at_svc(pc_);
-          if (!veneer) {
-            fail("unexpected SVC at " + hex32(pc_));
-            break;
-          }
-          if (veneer->kind == instr::VeneerKind::LoopCondition) {
-            const auto value = consume_loop_value(true);
-            if (!value) break;
-            val_.write(veneer->loop->iterator, *value);
-          }
-          // Branch-logging SVCs: the following instruction consumes the
-          // stream; nothing to do here.
-        } else {
-          fail("unexpected SVC at " + hex32(pc_));
-          break;
-        }
-      } else {
-        val_.apply(in, pc_);
+    case StepKind::Data:  // never dispatched here: run() retires data runs
+      break;
+
+    case StepKind::Svc: {
+      if (!s.has(ReplayStep::kSvcVeneer)) {
+        fail("unexpected SVC at " + hex32(pc_));
+        break;
+      }
+      if (s.has(ReplayStep::kSvcLoop)) {
+        const auto value = consume_loop_value(mode_ == ReplayMode::Traces);
+        if (!value) break;
+        val_.write(s.svc_iterator, *value);
       }
       pc_ += 4;
       break;
     }
 
-    case BranchKind::Direct:
-      take_branch(index_.branch_target(pc_), BranchKind::Direct);
+    case StepKind::Direct:
+      take_branch(s, BranchKind::Direct);
       break;
 
-    case BranchKind::DirectCall: {
-      const Address target = index_.branch_target(pc_);
+    case StepKind::DirectCall:
       shadow_stack_.push_back(pc_ + 4);
       val_.write(Reg::LR, pc_ + 4);
-      take_branch(target, BranchKind::DirectCall);
+      take_branch(s, BranchKind::DirectCall);
       break;
-    }
 
-    case BranchKind::Conditional: {
-      const auto taken = decide_conditional(in);
+    case StepKind::Conditional: {
+      const auto taken = decide_conditional(s);
       if (!pending_failure_.empty()) break;
       if (!taken) {
         fail("unresolvable conditional branch at " + hex32(pc_) +
@@ -899,18 +601,18 @@ bool ReplayEngine::step() {
         break;
       }
       if (*taken) {
-        take_branch(index_.branch_target(pc_), BranchKind::Conditional);
+        take_branch(s, BranchKind::Conditional);
       } else {
         pc_ += 4;
       }
       break;
     }
 
-    case BranchKind::IndirectCall: {  // BLX rm (naive/traces binaries only)
+    case StepKind::IndirectCall: {  // BLX rm (naive/traces binaries only)
       shadow_stack_.push_back(pc_ + 4);
       val_.write(Reg::LR, pc_ + 4);
       const Address site = pc_;
-      const auto target = indirect_target();
+      const auto target = indirect_target(s);
       if (!target) break;
       check_call_policy(site, *target);
       emit_event(site, *target, BranchKind::IndirectCall);
@@ -918,60 +620,48 @@ bool ReplayEngine::step() {
       break;
     }
 
-    case BranchKind::IndirectJump: {
+    case StepKind::IndirectJump: {
       const Address site = pc_;
-      const auto target = indirect_target();
+      const auto target = indirect_target(s);
       if (!target) break;
-      // A BX rm inside a RAP IndirectCall slot is semantically a call: the
-      // BL at the original site already pushed the shadow stack; apply the
-      // call-target policy here.
-      if (mode_ == ReplayMode::Rap) {
-        if (const auto* slot = index_.slot_containing(site);
-            slot && slot->kind == rewrite::SlotKind::IndirectCall) {
-          check_call_policy(slot->site, *target);
-        }
-      } else if (mode_ == ReplayMode::Traces) {
-        if (const auto* veneer = index_.traces_veneer_containing(site);
-            veneer && veneer->kind == instr::VeneerKind::IndirectCall) {
-          check_call_policy(veneer->site, *target);
-        }
-      }
+      // A BX rm inside a RAP IndirectCall slot (or a TRACES indirect-call
+      // veneer) is semantically a call: the BL at the original site already
+      // pushed the shadow stack; apply the call-target policy here.
+      if (s.has(ReplayStep::kCallSite)) check_call_policy(s.call_site, *target);
       emit_event(site, *target, BranchKind::IndirectJump);
       if (pending_failure_.empty()) pc_ = *target;
       break;
     }
 
-    case BranchKind::Return: {
-      if (in.op == Op::BX) {  // BX LR: unmonitored leaf return (§IV-C.2)
-        std::optional<Address> target;
-        if (mode_ == ReplayMode::Naive) {
-          const auto packet = consume_packet(pc_);
-          if (!packet) break;
-          target = packet->destination;
-        } else {
-          target = val_.read(Reg::LR, pc_);
-          if (!target) {
-            fail("BX LR with unknown link register at " + hex32(pc_));
-            break;
-          }
+    case StepKind::ReturnLr: {  // BX LR: unmonitored leaf return (§IV-C.2)
+      std::optional<Address> target;
+      if (mode_ == ReplayMode::Naive) {
+        const auto packet = consume_packet(pc_);
+        if (!packet) break;
+        target = packet->destination;
+      } else {
+        target = val_.read(Reg::LR, pc_);
+        if (!target) {
+          fail("BX LR with unknown link register at " + hex32(pc_));
+          break;
         }
-        pop_shadow(pc_, *target);
-        emit_event(pc_, *target, BranchKind::Return);
-        if (pending_failure_.empty()) pc_ = *target;
-      } else {  // POP {…,pc}: monitored return
-        const Address site = pc_;
-        const auto target = indirect_target();
-        if (!target) break;
-        val_.apply(in, site);  // clobber popped registers
-        pop_shadow(site, *target);
-        emit_event(site, *target, BranchKind::Return);
-        if (pending_failure_.empty()) pc_ = *target;
       }
+      pop_shadow(pc_, *target);
+      emit_event(pc_, *target, BranchKind::Return);
+      if (pending_failure_.empty()) pc_ = *target;
       break;
     }
 
-    case BranchKind::Halt:
-      break;  // handled above
+    case StepKind::ReturnPop: {  // POP {…,pc}: monitored return
+      const Address site = pc_;
+      const auto target = indirect_target(s);
+      if (!target) break;
+      apply_data(val_, s.instr, site);  // clobber popped registers
+      pop_shadow(site, *target);
+      emit_event(site, *target, BranchKind::Return);
+      if (pending_failure_.empty()) pc_ = *target;
+      break;
+    }
   }
   return false;
 }
@@ -984,21 +674,35 @@ ReplayResult ReplayEngine::run() {
         // A halted segment was spliced: its guards proved the exact
         // clean-halt conditions, so the replay is complete.
         result_.complete = true;
-        return result_;
+        return std::move(result_);
       }
     }
+    if (!index_.contains(pc_) || pc_ % 4 != 0) {
+      ++result_.steps;
+      fail("path left the program image at " + hex32(pc_));
+      break;
+    }
+    const ReplayStep& s = index_.step(pc_);
+    if (s.kind == StepKind::Data) {
+      // A data run consumes no evidence, raises no finding and decides
+      // nothing: a memo tick inside it would find recording active with an
+      // unfilled window and do nothing, so anchors, telemetry and every
+      // result field land where per-instruction stepping put them.
+      retire_run(s);
+      continue;
+    }
     ++result_.steps;
-    if (step()) {
+    if (step(s)) {
       if (memo_ != nullptr) memo_close(/*halted=*/true);
       result_.complete = true;
-      return result_;
+      return std::move(result_);
     }
     if (!pending_failure_.empty()) break;
   }
   if (pending_failure_.empty()) fail("replay step budget exceeded");
   result_.failure = pending_failure_;
   result_.complete = false;
-  return result_;
+  return std::move(result_);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Lossless control-flow path reconstruction (the Verifier-side core of CFA).
 //
-// The replayer walks the deployed binary instruction by instruction,
-// re-deriving every control-flow decision from three sources:
+// The replayer walks the deployed binary, re-deriving every control-flow
+// decision from three sources:
 //   1. static knowledge  — direct branches/calls and, via a constant-
 //      propagating shadow valuation, the "statically deterministic" simple
 //      loops of §IV-C (MOVI-initialized counters, CMPI bounds);
@@ -9,6 +9,9 @@
 //      bit/target/loop streams, consumed in execution order;
 //   3. a shadow call stack — BX LR leaf returns, which RAP-Track leaves
 //      unmonitored because LR is provably unchanged (§IV-C.2).
+//
+// Between decisions it retires whole straight-line runs of data
+// instructions at once, off the per-deployment step table (deployment.hpp).
 //
 // The result is the complete sequence of taken branches, comparable against
 // the simulator's ground-truth oracle — the testable definition of
@@ -51,11 +54,9 @@ struct ReplayResult {
   std::string failure;     ///< first reconstruction failure, if any
   std::vector<trace::OracleEvent> events;  ///< reconstructed branch history
   std::vector<AttackFinding> findings;     ///< policy violations observed
+  /// Instructions walked, including each instruction of a retired
+  /// straight-line run (at most max_steps).
   u64 steps = 0;
-  /// Steps served from the replay index's predecoded instruction array
-  /// (every step that decoded). Deterministic for a given chain, so serial
-  /// and farm verification report identical values.
-  u64 index_hits = 0;
   /// Memo-cache effectiveness (verified sub-path cache, memo.hpp): segment
   /// anchors spliced from a stored segment vs. anchors that missed and
   /// recorded fresh. NOT part of the verification outcome — the values

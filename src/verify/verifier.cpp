@@ -66,7 +66,6 @@ crypto::Digest verification_digest(const VerificationResult& result) {
   out.boolean(replay.complete);
   out.str(replay.failure);
   out.u64le(replay.steps);
-  out.u64le(replay.index_hits);
   // memo_hits / memo_misses intentionally omitted: cache-warmth telemetry,
   // not part of the verification outcome.
   out.u64le(replay.events.size());
@@ -219,9 +218,25 @@ std::string decode_into(const cfa::ReportView& report, ReplayMode mode,
   return "unknown payload type";
 }
 
+// Chain metric handles, registered once. Looking these up per chain would
+// mean a map find under the registry mutex on every verification.
+struct ChainMetrics {
+  obs::Counter chains = obs::registry().counter("verify.chains");
+  obs::Counter accept = obs::registry().counter("verify.verdict.accept");
+  obs::Counter reject = obs::registry().counter("verify.verdict.reject");
+  obs::Counter inconclusive =
+      obs::registry().counter("verify.verdict.inconclusive");
+  obs::Counter replay_steps = obs::registry().counter("verify.replay_steps");
+
+  static ChainMetrics& get() {
+    static ChainMetrics metrics;
+    return metrics;
+  }
+};
+
 // RAII observability for one verify_report_chain call: a span session for
 // the phase timeline plus, on exit (any of the many return paths), verdict
-// tallies and replay-index cache counters. No-cost when RAP_OBS is off.
+// tallies and the replay step count. No-cost when RAP_OBS is off.
 struct ChainObs {
   const VerificationResult* result;
   obs::SessionId session = 0;
@@ -238,20 +253,14 @@ struct ChainObs {
 
   ~ChainObs() {
     if constexpr (obs::kEnabled) {
-      auto& reg = obs::registry();
-      reg.counter("verify.chains").inc();
+      auto& metrics = ChainMetrics::get();
+      metrics.chains.inc();
       switch (result->verdict) {
-        case Verdict::Accept:
-          reg.counter("verify.verdict.accept").inc();
-          break;
-        case Verdict::Reject:
-          reg.counter("verify.verdict.reject").inc();
-          break;
-        case Verdict::Inconclusive:
-          reg.counter("verify.verdict.inconclusive").inc();
-          break;
+        case Verdict::Accept: metrics.accept.inc(); break;
+        case Verdict::Reject: metrics.reject.inc(); break;
+        case Verdict::Inconclusive: metrics.inconclusive.inc(); break;
       }
-      reg.counter("verify.replay_index_hits").inc(result->replay.index_hits);
+      metrics.replay_steps.inc(result->replay.steps);
     }
   }
 };

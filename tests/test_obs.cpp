@@ -331,7 +331,7 @@ TEST(ObsIntegration, AttestAndVerifyFeedTheGlobalRegistry)
   EXPECT_EQ(snap.value("verify.chains"), 1u);
   EXPECT_EQ(snap.value("verify.verdict.accept"), 1u);
   EXPECT_EQ(snap.value("verify.verdict.reject"), 0u);
-  EXPECT_GT(snap.value("verify.replay_index_hits"), 0u);
+  EXPECT_GT(snap.value("verify.replay_steps"), 0u);
   // The prover's session timeline exists with the protocol phases in order.
   bool saw_h_mem = false, saw_run = false, saw_sign = false;
   for (const auto& record : obs::tracer().records()) {
