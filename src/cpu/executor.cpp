@@ -19,9 +19,10 @@ namespace {
 /// Sink policy bound to the concrete (final) TraceFabric: the per-retired
 /// calls compile to direct, inlinable calls into the MTB/DWT models instead
 /// of virtual dispatch through TraceSink. Fused superblocks are allowed
-/// whenever the DWT proves the window inert (no comparator can fire at any
-/// pc inside it) — the per-instruction fabric effect then reduces to the
-/// MTB activation countdown, applied in one batched retirement.
+/// whenever the DWT proves the window inert (no comparator action can have
+/// an effect at any pc inside it, given the MTB's state) — the
+/// per-instruction fabric effect then reduces to the MTB activation
+/// countdown, applied in one batched retirement.
 struct SinksFabric {
   trace::TraceFabric* fabric;
   void instruction(Address pc) const { fabric->on_instruction(pc); }

@@ -123,7 +123,10 @@ class Executor {
   // arbitrary TraceSinks must answer false — a generic sink observes every
   // pc, so fusing would drop events. The fabric-backed policies (defined in
   // executor.cpp) answer via Dwt::inert_window, which proves observe() is a
-  // no-op across the window.
+  // no-op across the window in the MTB's current state. A window whose head
+  // would still flip the MTB (the first MTBDR instruction after tracing)
+  // takes that one instruction per-slot; the shorter run behind it is asked
+  // again at the next slot and fuses.
   struct SinksNone {
     void instruction(Address) const {}
     void branch(Address, Address, isa::BranchKind) const {}

@@ -1,5 +1,6 @@
 #include "instr/traces_engine.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/bits.hpp"
@@ -23,11 +24,42 @@ TracesEngine::TracesEngine(const Program& program,
       bit_packed_(bit_packed) {}
 
 void TracesEngine::attach(tz::SecureMonitor& monitor) {
+  // Resolve each veneer SVC once into a dense table over the SVC span: the
+  // handlers below run on every world switch and only index it.
+  sites_.clear();
+  Address lo = ~Address{0};
+  Address hi = 0;
+  for (const auto& veneer : manifest_->veneers) {
+    if ((veneer.svc_addr & 3u) != 0) continue;  // fetches are word-aligned
+    lo = std::min(lo, veneer.svc_addr);
+    hi = std::max(hi, veneer.svc_addr);
+  }
+  if (lo <= hi) {
+    sites_base_ = lo;
+    sites_.resize(((hi - lo) >> 2) + 1);
+    for (const auto& veneer : manifest_->veneers) {
+      if ((veneer.svc_addr & 3u) != 0) continue;
+      SvcSite& site = sites_[(veneer.svc_addr - lo) >> 2];
+      if (site.veneer != nullptr) continue;  // the first record wins
+      site.veneer = &veneer;
+      const Address next = veneer.svc_addr + 4;
+      if (program_->contains(next) && next + 4 <= program_->end()) {
+        site.next = program_->instruction_at(next);
+      }
+    }
+  }
   monitor.register_service(tz::Service::kTracesLogBranch,
                            [this](cpu::CpuState& s) { return log_branch(s); });
   monitor.register_service(
       tz::Service::kTracesLogLoopCondition,
       [this](cpu::CpuState& s) { return log_loop_condition(s); });
+}
+
+const TracesEngine::SvcSite* TracesEngine::site_at(Address svc_addr) const {
+  const Address offset = svc_addr - sites_base_;
+  if ((offset & 3u) != 0 || (offset >> 2) >= sites_.size()) return nullptr;
+  const SvcSite& site = sites_[offset >> 2];
+  return site.veneer != nullptr ? &site : nullptr;
 }
 
 u64 TracesEngine::current_bytes() const {
@@ -72,7 +104,12 @@ void TracesEngine::maybe_flush() {
 Cycles TracesEngine::log_branch(cpu::CpuState& state) {
   // The SVC sits immediately before the relocated original instruction.
   const Address next_instr = state.pc();
-  const auto decoded = program_->instruction_at(next_instr);
+  // An SVC outside every veneer (never emitted by the rewriter) takes the
+  // uncached decode, with its errors.
+  const SvcSite* site = site_at(next_instr - 4);
+  const auto decoded = site != nullptr && site->next
+                           ? site->next
+                           : program_->instruction_at(next_instr);
   if (!decoded) {
     throw Error("TracesEngine: no instruction after SVC at " + hex32(next_instr));
   }
@@ -143,7 +180,8 @@ Cycles TracesEngine::log_branch(cpu::CpuState& state) {
 
 Cycles TracesEngine::log_loop_condition(cpu::CpuState& state) {
   const Address svc_addr = state.pc() - 4;
-  const VeneerRecord* veneer = manifest_->veneer_at_svc(svc_addr);
+  const SvcSite* site = site_at(svc_addr);
+  const VeneerRecord* veneer = site != nullptr ? site->veneer : nullptr;
   if (!veneer || !veneer->loop) {
     throw Error("TracesEngine: loop SVC with no veneer record at " +
                 hex32(svc_addr));

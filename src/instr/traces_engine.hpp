@@ -9,6 +9,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "asm/program.hpp"
@@ -38,7 +39,8 @@ class TracesEngine {
                mem::MemoryMap& memory, u32 capacity_bytes = 0,
                bool bit_packed = false);
 
-  /// Register kTracesLogBranch / kTracesLogLoopCondition on the monitor.
+  /// Register kTracesLogBranch / kTracesLogLoopCondition on the monitor,
+  /// and resolve every veneer's SVC once (see SvcSite).
   void attach(tz::SecureMonitor& monitor);
 
   /// Called when the capacity is reached, with the flushed window's stream
@@ -71,11 +73,21 @@ class TracesEngine {
   u64 current_bytes() const;
   void maybe_flush();
 
+  /// A veneer SVC resolved at attach(): its record and the decoded
+  /// instruction right after it (the relocated branch log_branch() reads).
+  struct SvcSite {
+    const VeneerRecord* veneer = nullptr;  ///< nullptr: no veneer SVC here
+    std::optional<isa::Instruction> next;  ///< nullopt: outside the program
+  };
+  const SvcSite* site_at(Address svc_addr) const;
+
   const Program* program_;
   const TracesManifest* manifest_;
   mem::MemoryMap* memory_;
   u32 capacity_bytes_;
   bool bit_packed_;
+  Address sites_base_ = 0;
+  std::vector<SvcSite> sites_;  ///< one per word from sites_base_
 
   TracesLog log_;  // cumulative, for verification
   FlushHandler flush_handler_;

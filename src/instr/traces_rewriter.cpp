@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "cfg/cfg.hpp"
+#include "common/bits.hpp"
 #include "common/hex.hpp"
 #include "tz/secure_monitor.hpp"
 
@@ -12,13 +13,6 @@ using cfg::BccRole;
 using isa::BranchKind;
 using isa::Instruction;
 using isa::Op;
-
-const VeneerRecord* TracesManifest::veneer_at_svc(Address svc_addr) const {
-  for (const auto& veneer : veneers) {
-    if (veneer.svc_addr == svc_addr) return &veneer;
-  }
-  return nullptr;
-}
 
 const VeneerRecord* TracesManifest::veneer_containing(Address addr) const {
   for (const auto& veneer : veneers) {
@@ -71,6 +65,12 @@ TracesResult rewrite_for_traces(const Program& original, Address entry,
     const Instruction instr = *decoded;
     if (instr.op == Op::SVC) {
       throw Error("traces: application code may not contain SVC at " + hex32(addr));
+    }
+    // BX LR is not instrumented: the verifier resolves it from the link
+    // register BL set, so code may not reload LR from the stack.
+    if (instr.op == Op::POP && bit(instr.reg_list, 14)) {
+      throw Error("traces: POP into LR at " + hex32(addr) +
+                  " violates the return-determinism convention");
     }
     switch (isa::branch_kind(instr)) {
       case BranchKind::IndirectCall:

@@ -50,7 +50,6 @@ struct TracesManifest {
   std::vector<VeneerRecord> veneers;
   std::map<Address, cfg::SimpleLoop> deterministic_loops;
 
-  const VeneerRecord* veneer_at_svc(Address svc_addr) const;
   const VeneerRecord* veneer_containing(Address addr) const;
 };
 

@@ -36,7 +36,8 @@ void validate_program(const Program& program, Address code_begin,
           isa::format_of(instr->op) == isa::Format::AluReg ||
           isa::format_of(instr->op) == isa::Format::AluImm) &&
          !isa::is_compare(instr->op) && instr->rd == Reg::LR) ||
-        (isa::is_load(instr->op) && instr->rd == Reg::LR);
+        (isa::is_load(instr->op) && instr->rd == Reg::LR) ||
+        (instr->op == Op::POP && bit(instr->reg_list, 14));
     if (writes_lr) {
       throw Error("rewrite: explicit LR write at " + hex32(addr) +
                   " violates the return-determinism convention");

@@ -67,12 +67,18 @@ class Dwt {
     }
   }
 
-  /// True when no comparator can fire for any pc in [lo, hi): no watchpoint
-  /// lands in the window and neither the TSTART nor the TSTOP range
-  /// intersects it. The executor's superblock path uses this to retire a
-  /// fused straight-line run without per-instruction observe() calls — a
-  /// window that overlaps any comparator simply stays on the per-slot path,
-  /// which evaluates every comparator exactly as before. Comparator
+  /// True when no comparator action can have an effect for any pc in
+  /// [lo, hi), given the MTB's current state: no watchpoint lands in the
+  /// window, a window that touches the TSTOP range finds TSTOP a no-op
+  /// (MTB stopped, or TSTARTEN), and a window that touches the TSTART range
+  /// finds TSTART a no-op (MTB started, or TSTARTEN). The executor's
+  /// superblock path uses this to retire a fused straight-line run without
+  /// per-instruction observe() calls. The answer holds for the whole window
+  /// because a fused run contains no branch: the only MTB state that moves
+  /// inside it is the activation countdown, which batched retirement applies
+  /// exactly (Mtb::on_instructions_retired). So under RAP-Track the first
+  /// instruction that enters MTBDR with tracing started goes per-slot and
+  /// fires the one real TSTOP; the rest of that run fuses. Comparator
   /// addresses need not be word-aligned; the check is conservative.
   bool inert_window(Address lo, Address hi) const {
     const Address last = hi - 4;  // pcs in the window are lo, lo+4, .., last
@@ -80,15 +86,13 @@ class Dwt {
       const Address w = resolved_.watchpoints[i];
       if (w >= lo && w <= last) return false;
     }
-    if (resolved_.has_stop && lo <= resolved_.stop_limit &&
-        last >= resolved_.stop_base) {
-      return false;
-    }
-    if (resolved_.has_start && lo <= resolved_.start_limit &&
-        last >= resolved_.start_base) {
-      return false;
-    }
-    return true;
+    const bool hits_stop = resolved_.has_stop && lo <= resolved_.stop_limit &&
+                           last >= resolved_.stop_base;
+    const bool hits_start = resolved_.has_start &&
+                            lo <= resolved_.start_limit &&
+                            last >= resolved_.start_base;
+    return (!hits_stop || mtb_->tstop_idempotent()) &&
+           (!hits_start || mtb_->tstart_idempotent());
   }
 
   // -- register-level interface ----------------------------------------------

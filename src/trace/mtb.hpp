@@ -103,6 +103,14 @@ class Mtb {
     pending_activation_ = 0;
   }
 
+  /// True when tstop() would change nothing: the MTB is already stopped
+  /// (a stopped MTB never has a pending activation) or TSTARTEN overrides
+  /// the stop input.
+  bool tstop_idempotent() const { return !started_ || always_on_; }
+  /// True when tstart() would change nothing: already started (a pending
+  /// activation keeps counting down untouched) or TSTARTEN.
+  bool tstart_idempotent() const { return started_ || always_on_; }
+
   /// Called once per retired instruction: advances the activation-latency
   /// countdown.
   void on_instruction_retired() {
@@ -110,10 +118,11 @@ class Mtb {
   }
 
   /// Batched form: equivalent to `n` on_instruction_retired() calls. The
-  /// executor's superblock path retires a whole straight-line run at once;
-  /// no TSTART/TSTOP can fire inside such a run (the DWT window is inert),
-  /// so the activation countdown is the only per-instruction MTB state to
-  /// advance and it commutes across the window.
+  /// executor's superblock path retires a whole straight-line run at once,
+  /// and only when every TSTART/TSTOP the DWT would signal inside the run is
+  /// a no-op in the current state (Dwt::inert_window). The activation
+  /// countdown is then the only per-instruction MTB state that moves, and
+  /// it commutes across the window.
   void on_instructions_retired(u32 n) {
     if (started_ && pending_activation_ > 0) {
       pending_activation_ -= pending_activation_ < n ? pending_activation_ : n;

@@ -269,6 +269,9 @@ inline void apply_data(Valuation& v, const isa::Instruction& in, Address pc) {
       for (unsigned i = 0; i < 13; ++i) {
         if (bit(in.reg_list, i)) v.forget(static_cast<isa::Reg>(i));
       }
+      // The rewriters refuse POP into LR; an image that does it anyway
+      // must reach BX LR with LR unknown, not with the caller's value.
+      if (bit(in.reg_list, 14)) v.forget(isa::Reg::LR);
       if (sp) {
         v.write(isa::Reg::SP,
                 *sp + 4u * static_cast<u32>(std::popcount(in.reg_list)));

@@ -259,5 +259,134 @@ TEST(Attack, RopIsAlsoVisibleUnderNaiveMtb) {
   EXPECT_TRUE(rop_found);
 }
 
+// A return hijacked through a `POP {…, lr}` epilogue. The assembler
+// refuses `pop lr`, but any other image source can emit it, so the probe
+// assembles `pop {r4, pc}` and flips reg_list bit 15 to bit 14. Under RAP
+// and TRACES alike BX LR is not logged: the verifier resolves it from the
+// link register BL set, which such an epilogue silently replaces with a
+// value off the stack. The rewriters must refuse the image, and a
+// deployment handed the image directly must never Accept the attack.
+constexpr const char* kPopLrApp = R"asm(
+.equ UART_RX,   0x40000000
+.equ RES_OK,    0x20200000
+
+_start:
+    li r1, =UART_RX
+    ldr r0, [r1]
+    bl helper
+    li r1, =RES_OK
+    movi r0, #1
+    str r0, [r1]
+    hlt
+
+evil:
+    li r1, =RES_OK
+    movi r0, #2
+    str r0, [r1]
+    hlt
+
+helper:
+    push {r4, lr}
+    cmp r0, #100
+    blt epilogue
+    li r3, =evil
+    str r3, [sp, #4]       ; overwrite the saved LR
+epilogue:
+    pop {r4, POPPED}
+    bx lr
+__code_end:
+)asm";
+
+constexpr u32 kPopLr = 1u << 14;
+
+/// The probe program with `pop {r4, <popped>}` at `epilogue`, and that
+/// word's address.
+Built pop_lr_probe(const char* popped) {
+  std::string src = kPopLrApp;
+  src.replace(src.find("POPPED"), 6, popped);
+  return build(src);
+}
+
+/// Rewrites `pop {r4, <reg>}` at `at` into `pop {r4, lr}`.
+void flip_pop_to_lr(Program& program, Address at, u32 from_bit) {
+  const auto pop = program.instruction_at(at);
+  ASSERT_TRUE(pop.has_value());
+  ASSERT_EQ(pop->op, isa::Op::POP);
+  ASSERT_EQ(pop->reg_list, (1u << 4) | from_bit);
+  program.set_word(at, program.word_at(at) ^ from_bit ^ kPopLr);
+  ASSERT_EQ(program.instruction_at(at)->reg_list, (1u << 4) | kPopLr);
+}
+
+/// Attests `run` against a deployment built straight from the flipped
+/// image (no rewriter in the loop) on the attack input, and checks the
+/// attack really ran on the device.
+template <typename Prove>
+verify::VerificationResult attack_flipped_image(
+    std::shared_ptr<const verify::Deployment> deployment, Prove&& prove) {
+  verify::Verifier verifier(apps::demo_key());
+  verifier.expect(std::move(deployment));
+  const cfa::Challenge chal = verifier.fresh_challenge();
+  sim::Machine machine;
+  const auto periph = stimulus(machine, 200, {});  // >= 100: hijack
+  const auto run = prove(machine, chal);
+  EXPECT_EQ(machine.memory().raw_read32(0x2020'0000), 2u);  // evil ran
+  return verifier.verify(chal, run.reports);
+}
+
+TEST(Attack, PopIntoLrIsRefusedAndNeverAcceptedUnderRap) {
+  Built probe = pop_lr_probe("pc");
+  const Address epilogue = *probe.program.symbol("epilogue");
+  flip_pop_to_lr(probe.program, epilogue, 1u << 15);
+  EXPECT_THROW(rewrite::rewrite_for_rap_track(probe.program, probe.entry,
+                                              probe.program.base(),
+                                              probe.code_end),
+               Error);
+
+  // The same image with the rewriter out of the loop: rewrite a `pop
+  // {r4, r5}` stand-in (same CFG), then plant the LR pop in the output.
+  const Built stand_in = pop_lr_probe("r5");
+  auto rewritten = rewrite::rewrite_for_rap_track(
+      stand_in.program, stand_in.entry, stand_in.program.base(),
+      stand_in.code_end);
+  flip_pop_to_lr(rewritten.program, epilogue, 1u << 5);
+  const auto result = attack_flipped_image(
+      verify::Deployment::rap(rewritten.program, rewritten.manifest,
+                              stand_in.entry),
+      [&](sim::Machine& machine, const cfa::Challenge& chal) {
+        cfa::RapProver prover(rewritten.program, rewritten.manifest,
+                              stand_in.entry, apps::demo_key());
+        return prover.attest(machine, chal);
+      });
+  EXPECT_FALSE(result.accepted()) << result.detail;
+  EXPECT_NE(result.detail.find("unknown link register"), std::string::npos)
+      << result.detail;
+}
+
+TEST(Attack, PopIntoLrIsRefusedAndNeverAcceptedUnderTraces) {
+  Built probe = pop_lr_probe("pc");
+  const Address epilogue = *probe.program.symbol("epilogue");
+  flip_pop_to_lr(probe.program, epilogue, 1u << 15);
+  EXPECT_THROW(instr::rewrite_for_traces(probe.program, probe.entry,
+                                         probe.program.base(), probe.code_end),
+               Error);
+
+  const Built stand_in = pop_lr_probe("r5");
+  auto rewritten = instr::rewrite_for_traces(
+      stand_in.program, stand_in.entry, stand_in.program.base(),
+      stand_in.code_end);
+  flip_pop_to_lr(rewritten.program, epilogue, 1u << 5);
+  const auto result = attack_flipped_image(
+      verify::Deployment::traces(rewritten.program, rewritten.manifest,
+                                 stand_in.entry),
+      [&](sim::Machine& machine, const cfa::Challenge& chal) {
+        cfa::TracesProver prover(rewritten.program, rewritten.manifest,
+                                 stand_in.entry, apps::demo_key());
+        return prover.attest(machine, chal);
+      });
+  EXPECT_FALSE(result.accepted()) << result.detail;
+  EXPECT_NE(result.detail.find("unknown link register"), std::string::npos)
+      << result.detail;
+}
+
 }  // namespace
 }  // namespace raptrack

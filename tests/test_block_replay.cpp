@@ -49,8 +49,8 @@ Reg source_reg(Xoshiro256& rng) {
 }
 
 /// One random data instruction: ALU, MOVI/MOVT, loads/stores, PUSH/POP
-/// without pc. POP lists stay within r0..r10: the transfer keeps LR across
-/// a POP without pc (honest frames restore the value it already holds).
+/// without pc. PUSH and POP lists may include LR: a POP into LR must leave
+/// it unknown, since the core reloads it from the stack.
 isa::Instruction fuzz_data(Xoshiro256& rng) {
   isa::Instruction in;
   const u32 roll = static_cast<u32>(rng.next_below(100));
@@ -88,7 +88,7 @@ isa::Instruction fuzz_data(Xoshiro256& rng) {
   } else {
     in.op = rng.chance(1, 2) ? Op::PUSH : Op::POP;
     in.reg_list = static_cast<u16>(rng.next_below(1u << 11));
-    if (in.op == Op::PUSH && rng.chance(1, 2)) in.reg_list |= 1u << 14;  // LR
+    if (rng.chance(1, 2)) in.reg_list |= 1u << 14;  // LR
     if (in.reg_list == 0) in.reg_list = 1;
   }
   return in;
@@ -177,8 +177,8 @@ TEST(BlockReplay, TransferMatchesExecutorOnFuzzedDataRuns) {
         EXPECT_FALSE(v.is_known(in.rd)) << where;
       }
       if (in.op == Op::POP) {
-        for (unsigned i = 0; i < 13; ++i) {
-          if ((in.reg_list >> i) & 1) {
+        for (unsigned i = 0; i < 15; ++i) {
+          if (i != 13 && ((in.reg_list >> i) & 1)) {
             EXPECT_FALSE(v.is_known(static_cast<Reg>(i))) << where << " r" << i;
           }
         }

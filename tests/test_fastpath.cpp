@@ -11,7 +11,9 @@
 //     injectors).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 
 #include "apps/runner.hpp"
 #include "common/hex.hpp"
@@ -599,6 +601,249 @@ TEST(Superblock, DeferredMtbEmissionIsByteIdenticalToEager) {
   }
   EXPECT_GT(total_fused, 1'000u);    // fusion engaged through the fabric
   EXPECT_GT(total_packets, 1'000u);  // and the corpus actually branched
+}
+
+// -- state-aware inert windows ------------------------------------------------
+//
+// Each case runs one hand-built straight-line program through a TraceFabric
+// twice from the same DWT configuration and MTB state — per-step oracle vs
+// superblock fast path — and demands identical core state, MTB event
+// counts, watchpoint hits and trace SRAM, plus exactly the fused-retirement
+// count the state-aware rule predicts for the MTB state at each window head.
+
+constexpr u32 kPad = 8;  ///< fusible instructions heading the window program
+
+/// kPad fusible ADDIs at base..base+4*(kPad-1), then `b .+4` (one packet
+/// when tracing is live), then HLT.
+Program window_program() {
+  Program program(mem::MapLayout::kNsFlashBase,
+                  std::vector<u8>((kPad + 2) * 4, 0));
+  const Address base = program.base();
+  for (u32 i = 0; i < kPad; ++i) {
+    program.set_word(base + 4 * i,
+                     isa::encode({.op = Op::ADDI, .rd = Reg::R0, .rn = Reg::R0,
+                                  .imm = static_cast<i32>(i + 1)}));
+  }
+  program.set_word(base + 4 * kPad, isa::encode(isa::make_branch(Op::B, 0)));
+  program.set_word(base + 4 * (kPad + 1),
+                   isa::encode(isa::Instruction{.op = Op::HLT}));
+  return program;
+}
+
+Address pad_pc(u32 i) { return mem::MapLayout::kNsFlashBase + 4 * i; }
+
+struct WindowCore {
+  mem::MemoryMap map = mem::MemoryMap::make_default();
+  mem::Bus bus{map};
+  cpu::Executor cpu{bus};
+  trace::Mtb mtb{map, mem::MapLayout::kMtbSramBase, 64};
+  trace::Dwt dwt{mtb};
+  trace::TraceFabric fabric{dwt, mtb};
+  std::unique_ptr<isa::DecodedImage> image;
+  u64 watch_hits = 0;
+
+  WindowCore(const Program& program, bool fast,
+             const std::function<void(trace::Dwt&, trace::Mtb&)>& setup) {
+    mtb.set_enabled(true);
+    dwt.set_watchpoint_handler([this](Address) { ++watch_hits; });
+    cpu.add_sink(&fabric);
+    map.load(program.base(), program.bytes());
+    if (fast) {
+      image = std::make_unique<isa::DecodedImage>(program.base(),
+                                                  program.bytes());
+      cpu.attach_decoded_image(image.get());
+    }
+    cpu.reset(program.base(), mem::MapLayout::kNsRamBase + 0x8000);
+    setup(dwt, mtb);
+  }
+};
+
+struct WindowOutcome {
+  u64 fused = 0;
+  u64 tstart = 0;
+  u64 tstop = 0;
+  u64 packets = 0;
+};
+
+/// Runs the window program under `setup` on both paths, checks they agree
+/// on everything observable, and returns the fast path's counts.
+WindowOutcome run_window(
+    const std::function<void(trace::Dwt&, trace::Mtb&)>& setup) {
+  const Program program = window_program();
+  WindowCore oracle(program, /*fast=*/false, setup);
+  WindowCore fast(program, /*fast=*/true, setup);
+  EXPECT_EQ(oracle.cpu.run(100), HaltReason::Halted);
+  EXPECT_EQ(fast.cpu.run_fast(100), HaltReason::Halted);
+  EXPECT_TRUE(states_equal(oracle.cpu, fast.cpu));
+  EXPECT_EQ(oracle.mtb.tstart_events(), fast.mtb.tstart_events());
+  EXPECT_EQ(oracle.mtb.tstop_events(), fast.mtb.tstop_events());
+  EXPECT_EQ(oracle.mtb.tracing(), fast.mtb.tracing());
+  EXPECT_EQ(oracle.mtb.total_bytes_written(), fast.mtb.total_bytes_written());
+  EXPECT_EQ(oracle.mtb.read_log(), fast.mtb.read_log());
+  EXPECT_EQ(oracle.watch_hits, fast.watch_hits);
+  EXPECT_EQ(oracle.cpu.fused_dispatches(), 0u);
+  return {fast.cpu.fused_dispatches(), fast.mtb.tstart_events(),
+          fast.mtb.tstop_events(), fast.mtb.packets_recorded()};
+}
+
+void tstop_range(trace::Dwt& dwt, Address base, Address limit) {
+  dwt.configure(2, {trace::ComparatorAction::MtbTstopBase, base});
+  dwt.configure(3, {trace::ComparatorAction::MtbTstopLimit, limit});
+}
+
+void tstart_range(trace::Dwt& dwt, Address base, Address limit) {
+  dwt.configure(0, {trace::ComparatorAction::MtbTstartBase, base});
+  dwt.configure(1, {trace::ComparatorAction::MtbTstartLimit, limit});
+}
+
+TEST(Superblock, InertWindowTstopEnteredStartedFiresOneTstopThenFuses) {
+  const WindowOutcome out = run_window([](trace::Dwt& dwt, trace::Mtb& mtb) {
+    tstop_range(dwt, pad_pc(0), pad_pc(kPad + 1));
+    mtb.tstart();
+  });
+  // The head slot goes per-slot and fires the one real TSTOP; the shorter
+  // run behind it then finds TSTOP idempotent and fuses.
+  EXPECT_EQ(out.tstop, 1u);
+  EXPECT_EQ(out.fused, kPad - 1);
+  EXPECT_EQ(out.packets, 0u);
+}
+
+TEST(Superblock, InertWindowTstopWithMtbStoppedFusesWhole) {
+  const WindowOutcome out = run_window([](trace::Dwt& dwt, trace::Mtb&) {
+    tstop_range(dwt, pad_pc(0), pad_pc(kPad + 1));
+  });
+  EXPECT_EQ(out.tstop, 0u);
+  EXPECT_EQ(out.fused, kPad);
+}
+
+TEST(Superblock, InertWindowTstartPadEnteredStoppedCountsActivationExactly) {
+  // TSTART at the pad head starts the MTB with `latency` instructions to go;
+  // the rest of the pad fuses and the batched countdown decides whether the
+  // branch after the pad is traced: exactly when latency <= kPad.
+  for (const u32 latency : {kPad - 1, kPad, kPad + 1}) {
+    SCOPED_TRACE(latency);
+    const WindowOutcome out =
+        run_window([latency](trace::Dwt& dwt, trace::Mtb& mtb) {
+          tstart_range(dwt, pad_pc(0), pad_pc(kPad - 1));
+          mtb.set_activation_latency(latency);
+        });
+    EXPECT_EQ(out.tstart, 1u);
+    EXPECT_EQ(out.fused, kPad - 1);
+    EXPECT_EQ(out.packets, latency <= kPad ? 1u : 0u);
+  }
+}
+
+TEST(Superblock, InertWindowTstartPadEnteredStartedWithPendingActivation) {
+  for (const u32 latency : {kPad, kPad + 1, kPad + 2}) {
+    SCOPED_TRACE(latency);
+    const WindowOutcome out =
+        run_window([latency](trace::Dwt& dwt, trace::Mtb& mtb) {
+          tstart_range(dwt, pad_pc(0), pad_pc(kPad - 1));
+          mtb.set_activation_latency(latency);
+          mtb.tstart();  // started, activation still pending
+        });
+    EXPECT_EQ(out.tstart, 1u);  // only the one above: TSTART is idempotent
+    EXPECT_EQ(out.fused, kPad);
+    EXPECT_EQ(out.packets, latency <= kPad + 1 ? 1u : 0u);
+  }
+}
+
+TEST(Superblock, InertWindowTstartenFusesAcrossBothRanges) {
+  const WindowOutcome out = run_window([](trace::Dwt& dwt, trace::Mtb& mtb) {
+    tstart_range(dwt, pad_pc(0), pad_pc(kPad / 2 - 1));
+    tstop_range(dwt, pad_pc(kPad / 2), pad_pc(kPad + 1));
+    mtb.set_tstart_enable(true);
+  });
+  EXPECT_EQ(out.tstart, 0u);
+  EXPECT_EQ(out.tstop, 0u);
+  EXPECT_EQ(out.fused, kPad);
+  EXPECT_EQ(out.packets, 1u);
+}
+
+TEST(Superblock, InertWindowOverlappingBothRangesFusesOnlyPastTheOverlap) {
+  // Without TSTARTEN a window touching both ranges always has one action
+  // that would flip the MTB, so heads in the TSTART half go per-slot; the
+  // first TSTOP-only head still finds the MTB started and fires TSTOP;
+  // the remaining kPad/2 - 1 instructions fuse.
+  for (const bool started : {false, true}) {
+    SCOPED_TRACE(started);
+    const WindowOutcome out =
+        run_window([started](trace::Dwt& dwt, trace::Mtb& mtb) {
+          tstart_range(dwt, pad_pc(0), pad_pc(kPad / 2 - 1));
+          tstop_range(dwt, pad_pc(kPad / 2), pad_pc(kPad + 1));
+          if (started) mtb.tstart();
+        });
+    EXPECT_EQ(out.tstart, 1u);
+    EXPECT_EQ(out.tstop, 1u);
+    EXPECT_EQ(out.fused, kPad / 2 - 1);
+  }
+}
+
+TEST(Superblock, InertWindowWatchpointInsideWindowSplitsIt) {
+  const WindowOutcome out = run_window([](trace::Dwt& dwt, trace::Mtb& mtb) {
+    dwt.configure(0, {trace::ComparatorAction::Watchpoint, pad_pc(3)});
+    mtb.set_tstart_enable(true);
+  });
+  // Every head up to the watchpoint sees it inside its window.
+  EXPECT_EQ(out.fused, kPad - 4);
+}
+
+/// One RAP attestation on the fast path with superblocks on or off, plus
+/// the MTB and fusion counters the report does not carry.
+struct RapOutcome {
+  cfa::AttestationRun run;
+  u64 tstart = 0;
+  u64 tstop = 0;
+  u64 fused = 0;
+};
+
+RapOutcome attest_rap(const apps::PreparedApp& prepared, u64 seed,
+                      bool superblocks, bool oracle) {
+  sim::MachineConfig config;
+  config.superblocks = superblocks;
+  config.enable_oracle = oracle;
+  sim::Machine machine(config);
+  const auto periph = prepared.built.app->setup(machine, seed);
+  cfa::RapProver prover(prepared.rap.program, prepared.rap.manifest,
+                        prepared.built.entry, apps::demo_key());
+  RapOutcome out;
+  out.run = prover.attest(machine, {});
+  out.tstart = machine.mtb().tstart_events();
+  out.tstop = machine.mtb().tstop_events();
+  out.fused = machine.cpu().fused_dispatches();
+  return out;
+}
+
+TEST(Superblock, RapFusionMatchesSlotPathOnEveryRegistryApp) {
+  // MTBDR code runs untraced (§IV-B), so under RAP-Track it must fuse, and
+  // fusing it must move nothing the device or the verifier can see: the
+  // signed chain, every modelled cycle, and the TSTART/TSTOP transitions.
+  for (const auto& app : apps::app_registry()) {
+    SCOPED_TRACE(app.name);
+    const apps::PreparedApp prepared = apps::prepare_app(app);
+    for (const u64 seed : {1ull, 42ull, 7919ull}) {
+      for (const bool oracle : {true, false}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) +
+                     (oracle ? " +oracle" : ""));
+        const RapOutcome slot = attest_rap(prepared, seed, false, oracle);
+        const RapOutcome fused = attest_rap(prepared, seed, true, oracle);
+        EXPECT_EQ(slot.run.reports, fused.run.reports);
+        const cfa::RunMetrics& a = slot.run.metrics;
+        const cfa::RunMetrics& b = fused.run.metrics;
+        EXPECT_EQ(a.exec_cycles, b.exec_cycles);
+        EXPECT_EQ(a.attest_setup_cycles, b.attest_setup_cycles);
+        EXPECT_EQ(a.pause_cycles, b.pause_cycles);
+        EXPECT_EQ(a.final_report_cycles, b.final_report_cycles);
+        EXPECT_EQ(a.partial_reports, b.partial_reports);
+        EXPECT_EQ(a.instructions, b.instructions);
+        EXPECT_EQ(slot.tstart, fused.tstart);
+        EXPECT_EQ(slot.tstop, fused.tstop);
+        EXPECT_GT(slot.tstop, 0u);
+        EXPECT_EQ(slot.fused, 0u);
+        EXPECT_GT(fused.fused, 0u);
+      }
+    }
+  }
 }
 
 // -- registry apps: end-to-end parity across all four methods ----------------

@@ -5,6 +5,7 @@ Usage:
   tools/bench_compare.py BASELINE.json CANDIDATE.json [--threshold PCT]
                          [--require-speedup ROWSPEC:FACTOR]
                          [--require-geomean FLOOR]
+                         [--require-method-ratio METHOD:FLOOR]
 
 Two bench schemas are understood, keyed on the top-level "bench" field
 (baseline and candidate must be the same kind):
@@ -23,14 +24,19 @@ within-run ratios reproduce. Rows present on only one side are reported
 too (the grid legitimately grows and shrinks with modes).
 
 The hard gate is the ratio-based assertions (--require-speedup,
---require-hit-rate, --require-geomean). They are computed *within* the
-candidate file, so they are host-independent; the script exits nonzero
-only when one of them misses.
+--require-hit-rate, --require-geomean, --require-method-ratio). They are
+computed *within* the candidate file, so they are host-independent; the
+script exits nonzero only when one of them misses.
 
 --require-geomean asserts that the candidate's geomean_speedup (the
 fast-over-oracle wall-clock ratio a sim_throughput run reports) is at least
 FLOOR, e.g. --require-geomean 3.0. Pass the candidate as both arguments to
 gate on the floor alone without a baseline.
+
+--require-method-ratio asserts, for one method of a sim_throughput file,
+that the geomean over apps of the slot-over-fast wall-clock ratio (how much
+superblock fusion buys that method within the candidate run) is at least
+FLOOR, e.g. --require-method-ratio rap:1.03. Repeatable, one method each.
 
 --require-speedup asserts a minimum ratio *within* the candidate file
 between a memo=on row and its memo=off sibling, e.g.:
@@ -60,6 +66,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 
@@ -178,6 +185,33 @@ def check_hit_rate(rows: dict, spec: str) -> list[str]:
     return []
 
 
+def check_method_ratio(rows: dict, spec: str) -> list[str]:
+    """METHOD:FLOOR — geomean fast-over-slot speedup of one method's rows."""
+    try:
+        method, floor_text = spec.rsplit(":", 1)
+        floor = float(floor_text)
+    except ValueError:
+        sys.exit(f"error: bad --require-method-ratio spec: {spec!r} "
+                 "(want method:floor)")
+    logs = []
+    for (app, row_method, path), slot in rows.items():
+        if row_method != method or path != "slot":
+            continue
+        fast = rows.get((app, method, "fast"))
+        if fast is None:
+            return [f"{method}: {app} has a slot row but no fast row"]
+        logs.append(math.log(slot["wall_ns"] / max(fast["wall_ns"], 1)))
+    if not logs:
+        return [f"{method}: no slot/fast rows in candidate"]
+    ratio = math.exp(sum(logs) / len(logs))
+    print(f"{method}: fast-over-slot geomean {ratio:.3f}x over "
+          f"{len(logs)} apps")
+    if ratio < floor:
+        return [f"{method}: fast-over-slot geomean {ratio:.3f}x below the "
+                f"required {floor:.2f}x floor"]
+    return []
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -199,6 +233,11 @@ def main() -> int:
                         metavar="FLOOR",
                         help="assert the candidate's geomean_speedup is at "
                              "least FLOOR (sim_throughput files)")
+    parser.add_argument("--require-method-ratio", action="append",
+                        default=[], metavar="METHOD:FLOOR",
+                        help="assert one method's fast-over-slot geomean "
+                             "within the candidate, e.g. rap:1.03 "
+                             "(sim_throughput files, repeatable)")
     args = parser.parse_args()
 
     base_doc = load(args.baseline)
@@ -212,9 +251,10 @@ def main() -> int:
                                         args.require_hit_rate):
         sys.exit("error: --require-speedup/--require-hit-rate apply to "
                  "verify_throughput files only")
-    if args.require_geomean is not None and kind != "sim_throughput":
-        sys.exit("error: --require-geomean applies to sim_throughput files "
-                 "only")
+    if ((args.require_geomean is not None or args.require_method_ratio) and
+            kind != "sim_throughput"):
+        sys.exit("error: --require-geomean/--require-method-ratio apply to "
+                 "sim_throughput files only")
     for flag in ("release", "quick"):
         if base_doc.get(flag) != cand_doc.get(flag):
             sys.exit(f"error: refusing to compare: '{flag}' differs "
@@ -259,6 +299,10 @@ def main() -> int:
                 f"candidate geomean_speedup {geomean:.2f}x below the "
                 f"required {args.require_geomean:.2f}x floor")
 
+    method_failures = []
+    for spec in args.require_method_ratio:
+        method_failures.extend(check_method_ratio(cand, spec))
+
     print(f"compared {len(set(base) & set(cand))} rows: "
           f"{len(regressions)} regressed beyond {args.threshold:.0f}%, "
           f"{improved} improved beyond it (absolute rows are report-only)")
@@ -270,8 +314,10 @@ def main() -> int:
         print(f"HIT RATE MISSED: {line}")
     for line in geomean_failures:
         print(f"GEOMEAN MISSED: {line}")
+    for line in method_failures:
+        print(f"METHOD RATIO MISSED: {line}")
     return 1 if (speedup_failures or hit_rate_failures or
-                 geomean_failures) else 0
+                 geomean_failures or method_failures) else 0
 
 
 if __name__ == "__main__":
