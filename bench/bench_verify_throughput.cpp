@@ -154,12 +154,24 @@ std::vector<Workload> build_workloads(bool quick) {
     const cfa::Challenge chal = fault::campaign_challenge(1);
 
     struct MethodRun {
-      const char* method;
+      const char* method = "";
       std::shared_ptr<const Deployment> deployment;
       verify::VerifyConfig config;
       std::vector<cfa::SignedReport> chain;
     };
     std::vector<MethodRun> runs;
+    // Filled field by field: brace-initialising the VerifyConfig member
+    // draws GCC 12 -Wmaybe-uninitialized false positives from std::set.
+    const auto add_run = [&](const char* method,
+                             std::shared_ptr<const Deployment> deployment,
+                             std::vector<cfa::SignedReport> chain,
+                             u32 expected_watermark) {
+      MethodRun& run = runs.emplace_back();
+      run.method = method;
+      run.deployment = std::move(deployment);
+      run.chain = std::move(chain);
+      run.config.expected_watermark = expected_watermark;
+    };
 
     {
       // Same shape as the fault campaign: small MTB, chunked chain.
@@ -167,35 +179,29 @@ std::vector<Workload> build_workloads(bool quick) {
       options.watermark_bytes = 128;
       sim::MachineConfig config;
       config.mtb_buffer_bytes = 256;
-      MethodRun run{"rap",
-                    Deployment::rap(prepared.rap.program,
-                                    prepared.rap.manifest,
-                                    prepared.built.entry),
-                    {},
-                    apps::run_rap(prepared, 42, config, options, chal)
-                        .attestation.reports};
-      run.config.expected_watermark = options.watermark_bytes;
-      runs.push_back(std::move(run));
+      add_run("rap",
+              Deployment::rap(prepared.rap.program, prepared.rap.manifest,
+                              prepared.built.entry),
+              apps::run_rap(prepared, 42, config, options, chal)
+                  .attestation.reports,
+              options.watermark_bytes);
     }
     {
       cfa::SessionOptions options;
       options.watermark_bytes = 1024;
       sim::MachineConfig config;
       config.mtb_buffer_bytes = 4096;  // the paper's 4KB MTB
-      runs.push_back({"naive",
-                      Deployment::naive(prepared.built.program,
-                                        prepared.built.entry),
-                      {},
-                      apps::run_naive(prepared, 42, config, options, chal)
-                          .attestation.reports});
+      add_run("naive",
+              Deployment::naive(prepared.built.program, prepared.built.entry),
+              apps::run_naive(prepared, 42, config, options, chal)
+                  .attestation.reports,
+              0);
     }
-    runs.push_back({"traces",
-                    Deployment::traces(prepared.traces.program,
-                                       prepared.traces.manifest,
-                                       prepared.built.entry),
-                    {},
-                    apps::run_traces(prepared, 42, {}, {}, chal)
-                        .attestation.reports});
+    add_run("traces",
+            Deployment::traces(prepared.traces.program,
+                               prepared.traces.manifest, prepared.built.entry),
+            apps::run_traces(prepared, 42, {}, {}, chal).attestation.reports,
+            0);
 
     for (MethodRun& run : runs) {
       const auto push = [&](const char* mix,

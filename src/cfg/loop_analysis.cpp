@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "common/bits.hpp"
+#include "isa/semantics.hpp"
+
 namespace raptrack::cfg {
 
 using isa::BranchKind;
@@ -13,19 +16,7 @@ namespace {
 
 /// Does `instr` write `reg` (excluding control-flow side effects)?
 bool writes_register(const Instruction& in, Reg reg) {
-  switch (isa::format_of(in.op)) {
-    case isa::Format::Mov16:
-    case isa::Format::AluReg:
-    case isa::Format::AluImm:
-      return !isa::is_compare(in.op) && in.rd == reg;
-    case isa::Format::MemImm:
-    case isa::Format::MemReg:
-      return isa::is_load(in.op) && in.rd == reg;
-    case isa::Format::RegList:
-      return in.op == Op::POP && (in.reg_list & (1u << isa::index(reg))) != 0;
-    default:
-      return false;
-  }
+  return bit(isa::written_registers(in), isa::index(reg));
 }
 
 /// The innermost natural loop containing `block` (smallest body), if any.

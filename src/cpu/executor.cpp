@@ -4,6 +4,7 @@
 
 #include "common/bits.hpp"
 #include "common/hex.hpp"
+#include "isa/semantics.hpp"
 #include "trace/trace_fabric.hpp"
 
 namespace raptrack::cpu {
@@ -54,6 +55,46 @@ struct SinksFabricOracle {
   void retire_batch(u32 n) const { fabric->mtb().on_instructions_retired(n); }
 };
 
+/// The core's value domain for isa::transfer: concrete registers and NZCV.
+/// Forced inline, like the transfer itself: it runs per instruction.
+struct Registers {
+  using Value = Word;
+  CpuState& state;
+  [[gnu::always_inline]] Word read(Reg r, Address pc) const {
+    return r == Reg::PC ? pc + 4 : state.reg(r);
+  }
+  [[gnu::always_inline]] void write(Reg r, Word value) {
+    state.set_reg(r, value);
+  }
+  [[gnu::always_inline]] static Word constant(Word w) { return w; }
+  template <typename F>
+  [[gnu::always_inline]] static auto map(Word a, F f) { return f(a); }
+  template <typename F>
+  [[gnu::always_inline]] static auto map(Word a, Word b, F f) {
+    return f(a, b);
+  }
+  [[gnu::always_inline]] void set_flags(u8 mask, isa::Flags f) {
+    if (mask & isa::kFlagN) state.flags.n = f.n;
+    if (mask & isa::kFlagZ) state.flags.z = f.z;
+    if (mask & isa::kFlagC) state.flags.c = f.c;
+    if (mask & isa::kFlagV) state.flags.v = f.v;
+  }
+};
+
+/// The core's memory port: the bus, with the current world's permissions.
+/// Holds references only, so an ALU op that never touches memory loads
+/// nothing to build it.
+struct BusPort {
+  mem::Bus* const& bus;
+  const mem::WorldSide& world;
+  Word load(Word addr, u32 size, Address pc) const {
+    return bus->read(addr, size, world, pc);
+  }
+  void store(Word addr, Word value, u32 size, Address pc) const {
+    bus->write(addr, value, size, world, pc);
+  }
+};
+
 }  // namespace
 
 void Executor::reset(Address entry, Address stack_top) {
@@ -68,39 +109,6 @@ void Executor::reset(Address entry, Address stack_top) {
   fault_ = std::nullopt;
   halted_ = false;
   fetch_generation_seen_ = kNoGeneration;
-}
-
-void Executor::set_nz(Word result) {
-  state_.flags.n = (result >> 31) != 0;
-  state_.flags.z = result == 0;
-}
-
-Word Executor::alu_add(Word a, Word b, bool set_flags) {
-  const u64 wide = static_cast<u64>(a) + b;
-  const Word result = static_cast<Word>(wide);
-  if (set_flags) {
-    set_nz(result);
-    state_.flags.c = (wide >> 32) != 0;
-    state_.flags.v = (~(a ^ b) & (a ^ result) & 0x8000'0000u) != 0;
-  }
-  return result;
-}
-
-Word Executor::alu_sub(Word a, Word b, bool set_flags) {
-  const Word result = a - b;
-  if (set_flags) {
-    set_nz(result);
-    state_.flags.c = a >= b;  // no borrow
-    state_.flags.v = ((a ^ b) & (a ^ result) & 0x8000'0000u) != 0;
-  }
-  return result;
-}
-
-Word Executor::read_operand(Reg r, Address pc) const {
-  // Reading PC as an operand yields the next instruction's address,
-  // matching the Thumb convention closely enough for address arithmetic.
-  if (r == Reg::PC) return pc + 4;
-  return state_.reg(r);
 }
 
 template <typename Sinks>
@@ -274,9 +282,9 @@ HaltReason Executor::run_fast_with(u64 max_instructions, const Sinks& sinks) {
             // window can halt the core, change the MPU generation or the
             // world, invalidate slots, or emit trace packets: the per-slot
             // re-checks are provably redundant across the window and resume
-            // at its end. The shared execute() still steps every
-            // instruction (ZeroCost + SinksNone specialization), so the
-            // architectural state transition is the oracle's, verbatim.
+            // at its end. Every instruction still steps through the
+            // oracle's isa::transfer, so the architectural state
+            // transition is the oracle's.
             if (fuse != nullptr) {
               const size_t head = static_cast<size_t>(slot - slots);
               u32 n = fuse[head].len;
@@ -379,13 +387,27 @@ HaltReason Executor::run_fast(u64 max_instructions) {
 template <typename Sinks, typename Cost>
 void Executor::execute(const Instruction& in, Address pc, const Sinks& sinks,
                        const Cost& cost) {
-  const auto& world = state_.world;
+  // Data instructions run the one isa::transfer; a load or POP into PC
+  // comes back as a branch target. System ops and branches follow below.
+  Registers regs{state_};
+  if (isa::is_data(in.op)) {
+    const auto loaded_pc =
+        isa::transfer(regs, BusPort{bus_, state_.world}, in, pc);
+    cycles_ += cost(true);
+    if (loaded_pc) {
+      branch_to(pc, *loaded_pc,
+                in.op == Op::POP ? BranchKind::Return
+                                 : BranchKind::IndirectJump,
+                sinks);
+      return;
+    }
+    state_.set_pc(pc + 4);
+    return;
+  }
+
   Address next = pc + 4;
   bool taken = true;  // for cycle accounting of BCC
-
   switch (in.op) {
-    case Op::NOP:
-      break;
     case Op::HLT:
     case Op::BKPT:
       halted_ = true;
@@ -401,199 +423,6 @@ void Executor::execute(const Instruction& in, Address pc, const Sinks& sinks,
       cycles_ += svc_handler_(static_cast<u8>(in.imm), state_);
       cycles_ += cost(true);
       return;  // PC already set
-    }
-
-    case Op::MOVI:
-      state_.set_reg(in.rd, static_cast<Word>(in.imm));
-      break;
-    case Op::MOVT:
-      state_.set_reg(in.rd, (state_.reg(in.rd) & 0xffffu) |
-                                (static_cast<Word>(in.imm) << 16));
-      break;
-    case Op::MOV: {
-      const Word value = read_operand(in.rm, pc);
-      state_.set_reg(in.rd, value);
-      if (in.set_flags) set_nz(value);
-      break;
-    }
-    case Op::MVN: {
-      const Word value = ~read_operand(in.rm, pc);
-      state_.set_reg(in.rd, value);
-      if (in.set_flags) set_nz(value);
-      break;
-    }
-
-    case Op::ADD:
-    case Op::ADDI: {
-      const Word a = read_operand(in.rn, pc);
-      const Word b = in.op == Op::ADD ? read_operand(in.rm, pc)
-                                      : static_cast<Word>(in.imm);
-      state_.set_reg(in.rd, alu_add(a, b, in.set_flags));
-      break;
-    }
-    case Op::SUB:
-    case Op::SUBI: {
-      const Word a = read_operand(in.rn, pc);
-      const Word b = in.op == Op::SUB ? read_operand(in.rm, pc)
-                                      : static_cast<Word>(in.imm);
-      state_.set_reg(in.rd, alu_sub(a, b, in.set_flags));
-      break;
-    }
-    case Op::RSB:
-    case Op::RSBI: {
-      const Word a = read_operand(in.rn, pc);
-      const Word b = in.op == Op::RSB ? read_operand(in.rm, pc)
-                                      : static_cast<Word>(in.imm);
-      state_.set_reg(in.rd, alu_sub(b, a, in.set_flags));
-      break;
-    }
-    case Op::MUL: {
-      const Word result = read_operand(in.rn, pc) * read_operand(in.rm, pc);
-      state_.set_reg(in.rd, result);
-      if (in.set_flags) set_nz(result);
-      break;
-    }
-    case Op::UDIV: {
-      const Word d = read_operand(in.rm, pc);
-      // ARM semantics: divide by zero yields 0 (no trap by default).
-      state_.set_reg(in.rd, d == 0 ? 0 : read_operand(in.rn, pc) / d);
-      break;
-    }
-    case Op::SDIV: {
-      const i32 d = static_cast<i32>(read_operand(in.rm, pc));
-      const i32 n = static_cast<i32>(read_operand(in.rn, pc));
-      i32 q = 0;
-      if (d != 0) {
-        // INT_MIN / -1 overflows; ARM wraps to INT_MIN.
-        q = (n == INT32_MIN && d == -1) ? INT32_MIN : n / d;
-      }
-      state_.set_reg(in.rd, static_cast<Word>(q));
-      break;
-    }
-
-    case Op::AND: case Op::ANDI:
-    case Op::ORR: case Op::ORRI:
-    case Op::EOR: case Op::EORI: {
-      const Word a = read_operand(in.rn, pc);
-      const Word b = (isa::format_of(in.op) == isa::Format::AluReg)
-                         ? read_operand(in.rm, pc)
-                         : static_cast<Word>(in.imm);
-      Word result = 0;
-      switch (in.op) {
-        case Op::AND: case Op::ANDI: result = a & b; break;
-        case Op::ORR: case Op::ORRI: result = a | b; break;
-        default: result = a ^ b; break;
-      }
-      state_.set_reg(in.rd, result);
-      if (in.set_flags) set_nz(result);
-      break;
-    }
-
-    case Op::LSL: case Op::LSLI:
-    case Op::LSR: case Op::LSRI:
-    case Op::ASR: case Op::ASRI: {
-      const Word a = read_operand(in.rn, pc);
-      const Word amount_raw = (isa::format_of(in.op) == isa::Format::AluReg)
-                                  ? read_operand(in.rm, pc)
-                                  : static_cast<Word>(in.imm);
-      const Word amount = amount_raw & 0xff;  // ARM uses bottom byte
-      Word result;
-      if (in.op == Op::LSL || in.op == Op::LSLI) {
-        result = amount >= 32 ? 0 : (a << amount);
-      } else if (in.op == Op::LSR || in.op == Op::LSRI) {
-        result = amount >= 32 ? 0 : (amount == 0 ? a : a >> amount);
-      } else {
-        const i32 sa = static_cast<i32>(a);
-        result = static_cast<Word>(amount >= 32 ? (sa >> 31) : (sa >> amount));
-      }
-      state_.set_reg(in.rd, result);
-      if (in.set_flags) set_nz(result);
-      break;
-    }
-
-    case Op::CMP: case Op::CMPI:
-      alu_sub(read_operand(in.rn, pc),
-              in.op == Op::CMP ? read_operand(in.rm, pc) : static_cast<Word>(in.imm),
-              true);
-      break;
-    case Op::CMN:
-      alu_add(read_operand(in.rn, pc), read_operand(in.rm, pc), true);
-      break;
-    case Op::TST: case Op::TSTI:
-      set_nz(read_operand(in.rn, pc) &
-             (in.op == Op::TST ? read_operand(in.rm, pc) : static_cast<Word>(in.imm)));
-      break;
-
-    case Op::LDR: case Op::LDRB: case Op::LDRH: {
-      const Address addr = read_operand(in.rn, pc) + static_cast<Word>(in.imm);
-      const u32 size = in.op == Op::LDR ? 4 : (in.op == Op::LDRH ? 2 : 1);
-      const Word value = bus_->read(addr, size, world, pc);
-      if (in.rd == Reg::PC) {
-        cycles_ += cost(true);
-        branch_to(pc, value, BranchKind::IndirectJump, sinks);
-        return;
-      }
-      state_.set_reg(in.rd, value);
-      break;
-    }
-    case Op::LDRR: {
-      const Address addr =
-          read_operand(in.rn, pc) + (read_operand(in.rm, pc) << in.shift);
-      const Word value = bus_->read(addr, 4, world, pc);
-      if (in.rd == Reg::PC) {
-        cycles_ += cost(true);
-        branch_to(pc, value, BranchKind::IndirectJump, sinks);
-        return;
-      }
-      state_.set_reg(in.rd, value);
-      break;
-    }
-    case Op::STR: case Op::STRB: case Op::STRH: {
-      const Address addr = read_operand(in.rn, pc) + static_cast<Word>(in.imm);
-      const u32 size = in.op == Op::STR ? 4 : (in.op == Op::STRH ? 2 : 1);
-      bus_->write(addr, read_operand(in.rd, pc), size, world, pc);
-      break;
-    }
-    case Op::STRR: {
-      const Address addr =
-          read_operand(in.rn, pc) + (read_operand(in.rm, pc) << in.shift);
-      bus_->write(addr, read_operand(in.rd, pc), 4, world, pc);
-      break;
-    }
-
-    case Op::PUSH: {
-      const unsigned count = static_cast<unsigned>(std::popcount(in.reg_list));
-      Address sp = state_.sp() - 4 * count;
-      state_.set_sp(sp);
-      for (unsigned i = 0; i < 16; ++i) {
-        if (!bit(in.reg_list, i)) continue;
-        bus_->write(sp, state_.reg(static_cast<Reg>(i)), 4, world, pc);
-        sp += 4;
-      }
-      break;
-    }
-    case Op::POP: {
-      Address sp = state_.sp();
-      Word new_pc = 0;
-      bool branches = false;
-      for (unsigned i = 0; i < 16; ++i) {
-        if (!bit(in.reg_list, i)) continue;
-        const Word value = bus_->read(sp, 4, world, pc);
-        sp += 4;
-        if (i == 15) {
-          new_pc = value;
-          branches = true;
-        } else {
-          state_.set_reg(static_cast<Reg>(i), value);
-        }
-      }
-      state_.set_sp(sp);
-      if (branches) {
-        cycles_ += cost(true);
-        branch_to(pc, new_pc, BranchKind::Return, sinks);
-        return;
-      }
-      break;
     }
 
     case Op::B:
@@ -615,7 +444,7 @@ void Executor::execute(const Instruction& in, Address pc, const Sinks& sinks,
       state_.set_pc(next);
       return;
     case Op::BX: {
-      const Word target = read_operand(in.rm, pc);
+      const Word target = regs.read(in.rm, pc);
       cycles_ += cost(true);
       branch_to(pc, target,
                 in.rm == Reg::LR ? BranchKind::Return : BranchKind::IndirectJump,
@@ -623,12 +452,14 @@ void Executor::execute(const Instruction& in, Address pc, const Sinks& sinks,
       return;
     }
     case Op::BLX: {
-      const Word target = read_operand(in.rm, pc);
+      const Word target = regs.read(in.rm, pc);
       state_.set_lr(pc + 4);
       cycles_ += cost(true);
       branch_to(pc, target, BranchKind::IndirectCall, sinks);
       return;
     }
+    default:
+      break;  // NOP
   }
 
   cycles_ += cost(taken);
@@ -637,144 +468,13 @@ void Executor::execute(const Instruction& in, Address pc, const Sinks& sinks,
 
 void Executor::execute_fused_window(const isa::DecodedSlot* slot, u32 n,
                                     Address pc) {
-  // Reduced interpreter over the fusible_in_superblock() subset. Every case
-  // reproduces the corresponding execute() case verbatim (same ALU helpers,
-  // same flag-update order, same rd == PC tolerance: a write to regs[PC]
-  // here is dead, overwritten by the set_pc below exactly as execute()'s
-  // per-op set_pc(next) overwrites it). Kept small so the compiler emits a
-  // dense jump table and keeps the loop state in registers — this loop is
-  // why superblock fusion is faster than per-slot dispatch, not just
-  // equal to it (see bench_throughput's fast-vs-slot ablation).
+  // The per-slot path's own isa::transfer, with a port that refuses memory
+  // (fused ops never touch memory or branch). A write to PC inside the
+  // window is dead: the set_pc below overwrites it, as execute()'s per-op
+  // set_pc does.
+  Registers regs{state_};
   for (u32 k = 0; k < n; ++k, ++slot, pc += 4) {
-    const Instruction& in = slot->instr;
-    switch (in.op) {
-      case Op::NOP:
-        break;
-      case Op::MOVI:
-        state_.set_reg(in.rd, static_cast<Word>(in.imm));
-        break;
-      case Op::MOVT:
-        state_.set_reg(in.rd, (state_.reg(in.rd) & 0xffffu) |
-                                  (static_cast<Word>(in.imm) << 16));
-        break;
-      case Op::MOV: {
-        const Word value = read_operand(in.rm, pc);
-        state_.set_reg(in.rd, value);
-        if (in.set_flags) set_nz(value);
-        break;
-      }
-      case Op::MVN: {
-        const Word value = ~read_operand(in.rm, pc);
-        state_.set_reg(in.rd, value);
-        if (in.set_flags) set_nz(value);
-        break;
-      }
-      case Op::ADD:
-      case Op::ADDI: {
-        const Word a = read_operand(in.rn, pc);
-        const Word b = in.op == Op::ADD ? read_operand(in.rm, pc)
-                                        : static_cast<Word>(in.imm);
-        state_.set_reg(in.rd, alu_add(a, b, in.set_flags));
-        break;
-      }
-      case Op::SUB:
-      case Op::SUBI: {
-        const Word a = read_operand(in.rn, pc);
-        const Word b = in.op == Op::SUB ? read_operand(in.rm, pc)
-                                        : static_cast<Word>(in.imm);
-        state_.set_reg(in.rd, alu_sub(a, b, in.set_flags));
-        break;
-      }
-      case Op::RSB:
-      case Op::RSBI: {
-        const Word a = read_operand(in.rn, pc);
-        const Word b = in.op == Op::RSB ? read_operand(in.rm, pc)
-                                        : static_cast<Word>(in.imm);
-        state_.set_reg(in.rd, alu_sub(b, a, in.set_flags));
-        break;
-      }
-      case Op::MUL: {
-        const Word result = read_operand(in.rn, pc) * read_operand(in.rm, pc);
-        state_.set_reg(in.rd, result);
-        if (in.set_flags) set_nz(result);
-        break;
-      }
-      case Op::UDIV: {
-        const Word d = read_operand(in.rm, pc);
-        state_.set_reg(in.rd, d == 0 ? 0 : read_operand(in.rn, pc) / d);
-        break;
-      }
-      case Op::SDIV: {
-        const i32 d = static_cast<i32>(read_operand(in.rm, pc));
-        const i32 nn = static_cast<i32>(read_operand(in.rn, pc));
-        i32 q = 0;
-        if (d != 0) {
-          q = (nn == INT32_MIN && d == -1) ? INT32_MIN : nn / d;
-        }
-        state_.set_reg(in.rd, static_cast<Word>(q));
-        break;
-      }
-      case Op::AND: case Op::ANDI:
-      case Op::ORR: case Op::ORRI:
-      case Op::EOR: case Op::EORI: {
-        const Word a = read_operand(in.rn, pc);
-        const Word b = (isa::format_of(in.op) == isa::Format::AluReg)
-                           ? read_operand(in.rm, pc)
-                           : static_cast<Word>(in.imm);
-        Word result = 0;
-        switch (in.op) {
-          case Op::AND: case Op::ANDI: result = a & b; break;
-          case Op::ORR: case Op::ORRI: result = a | b; break;
-          default: result = a ^ b; break;
-        }
-        state_.set_reg(in.rd, result);
-        if (in.set_flags) set_nz(result);
-        break;
-      }
-      case Op::LSL: case Op::LSLI:
-      case Op::LSR: case Op::LSRI:
-      case Op::ASR: case Op::ASRI: {
-        const Word a = read_operand(in.rn, pc);
-        const Word amount_raw = (isa::format_of(in.op) == isa::Format::AluReg)
-                                    ? read_operand(in.rm, pc)
-                                    : static_cast<Word>(in.imm);
-        const Word amount = amount_raw & 0xff;
-        Word result;
-        if (in.op == Op::LSL || in.op == Op::LSLI) {
-          result = amount >= 32 ? 0 : (a << amount);
-        } else if (in.op == Op::LSR || in.op == Op::LSRI) {
-          result = amount >= 32 ? 0 : (amount == 0 ? a : a >> amount);
-        } else {
-          const i32 sa = static_cast<i32>(a);
-          result =
-              static_cast<Word>(amount >= 32 ? (sa >> 31) : (sa >> amount));
-        }
-        state_.set_reg(in.rd, result);
-        if (in.set_flags) set_nz(result);
-        break;
-      }
-      case Op::CMP: case Op::CMPI:
-        alu_sub(read_operand(in.rn, pc),
-                in.op == Op::CMP ? read_operand(in.rm, pc)
-                                 : static_cast<Word>(in.imm),
-                true);
-        break;
-      case Op::CMN:
-        alu_add(read_operand(in.rn, pc), read_operand(in.rm, pc), true);
-        break;
-      case Op::TST: case Op::TSTI:
-        set_nz(read_operand(in.rn, pc) &
-               (in.op == Op::TST ? read_operand(in.rm, pc)
-                                 : static_cast<Word>(in.imm)));
-        break;
-      default:
-        // Unreachable while fuse metadata only covers fusible slots; fall
-        // back to the oracle step so a future drift is a slowdown, not a
-        // divergence. (execute() sets the pc; the set_pc below re-sets it
-        // to the same fallthrough address.)
-        execute(in, pc, SinksNone{}, ZeroCost{});
-        break;
-    }
+    isa::transfer(regs, isa::NoMemory{}, slot->instr, pc);
   }
   state_.set_pc(pc);
 }

@@ -167,23 +167,19 @@ class Executor {
     Cycles not_taken;
     Cycles operator()(bool t) const { return t ? taken : not_taken; }
   };
-  /// Fused-window cost provider: charges nothing per instruction, because
-  /// the superblock loop adds the run's precomputed cycle sum once at the
-  /// end of the window (FuseRun::cycles). The `cycles_ += 0` in execute()
-  /// folds away, leaving the shared execute() as a pure semantic step.
-  struct ZeroCost {
-    Cycles operator()(bool) const { return 0; }
-  };
 
+  /// Forced inline into each dispatch loop: the transfer it runs is
+  /// inlined too, which would otherwise tip GCC into calling it per slot.
   template <typename Sinks, typename Cost>
-  void execute(const isa::Instruction& instr, Address pc, const Sinks& sinks,
-               const Cost& cost);
+  [[gnu::always_inline]] inline void execute(const isa::Instruction& instr,
+                                             Address pc, const Sinks& sinks,
+                                             const Cost& cost);
   /// Retire `n` fusible slots starting at `slot`/`pc` as one superblock:
-  /// a reduced interpreter over exactly the isa::fusible_in_superblock()
-  /// subset (pure ALU/move/compare), semantically identical to execute()
-  /// per op but with the PC register written once at the window end instead
-  /// of per instruction. The caller has already done the sink decision,
-  /// batched trace tick, and cycle charge for the whole window.
+  /// execute()'s own isa::transfer per op (the isa::fusible_in_superblock()
+  /// subset touches no memory and never branches), with the PC register
+  /// written once at the window end instead of per instruction. The caller
+  /// has already done the sink decision, batched trace tick, and cycle
+  /// charge for the whole window.
   void execute_fused_window(const isa::DecodedSlot* slot, u32 n, Address pc);
   template <typename Sinks>
   void branch_to(Address source, Address destination, isa::BranchKind kind,
@@ -201,11 +197,6 @@ class Executor {
   /// against the NS-MPU generation counter.
   bool fast_fetch_clear();
   bool validate_fetch_window() const;
-
-  void set_nz(Word result);
-  Word alu_add(Word a, Word b, bool set_flags);
-  Word alu_sub(Word a, Word b, bool set_flags);
-  Word read_operand(isa::Reg r, Address pc) const;
 
   static constexpr u64 kNoGeneration = ~0ull;
 

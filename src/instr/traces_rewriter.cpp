@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "cfg/cfg.hpp"
-#include "common/bits.hpp"
 #include "common/hex.hpp"
+#include "isa/semantics.hpp"
 #include "tz/secure_monitor.hpp"
 
 namespace raptrack::instr {
@@ -13,15 +13,6 @@ using cfg::BccRole;
 using isa::BranchKind;
 using isa::Instruction;
 using isa::Op;
-
-const VeneerRecord* TracesManifest::veneer_containing(Address addr) const {
-  for (const auto& veneer : veneers) {
-    if (addr >= veneer.veneer_base && addr < veneer.veneer_end) {
-      return &veneer;
-    }
-  }
-  return nullptr;
-}
 
 namespace {
 
@@ -67,9 +58,9 @@ TracesResult rewrite_for_traces(const Program& original, Address entry,
       throw Error("traces: application code may not contain SVC at " + hex32(addr));
     }
     // BX LR is not instrumented: the verifier resolves it from the link
-    // register BL set, so code may not reload LR from the stack.
-    if (instr.op == Op::POP && bit(instr.reg_list, 14)) {
-      throw Error("traces: POP into LR at " + hex32(addr) +
+    // register BL set, so nothing else may write LR.
+    if (isa::writes_lr(instr)) {
+      throw Error("traces: explicit LR write at " + hex32(addr) +
                   " violates the return-determinism convention");
     }
     switch (isa::branch_kind(instr)) {

@@ -49,8 +49,6 @@ struct TracesManifest {
   Address image_end = 0;
   std::vector<VeneerRecord> veneers;
   std::map<Address, cfg::SimpleLoop> deterministic_loops;
-
-  const VeneerRecord* veneer_containing(Address addr) const;
 };
 
 struct TracesOptions {

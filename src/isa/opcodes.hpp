@@ -138,10 +138,6 @@ constexpr bool is_load(Op op) {
   return op == Op::LDR || op == Op::LDRB || op == Op::LDRH || op == Op::LDRR;
 }
 
-constexpr bool is_store(Op op) {
-  return op == Op::STR || op == Op::STRB || op == Op::STRH || op == Op::STRR;
-}
-
 constexpr u32 kInstrBytes = 4;  ///< every RT-ISA instruction is one word
 
 }  // namespace raptrack::isa

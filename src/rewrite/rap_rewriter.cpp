@@ -4,8 +4,8 @@
 #include <map>
 #include <set>
 
-#include "common/bits.hpp"
 #include "common/hex.hpp"
+#include "isa/semantics.hpp"
 #include "tz/secure_monitor.hpp"
 
 namespace raptrack::rewrite {
@@ -14,7 +14,6 @@ using cfg::BccRole;
 using isa::BranchKind;
 using isa::Instruction;
 using isa::Op;
-using isa::Reg;
 
 namespace {
 
@@ -31,14 +30,7 @@ void validate_program(const Program& program, Address code_begin,
     // Explicit LR writes would break the "BX LR is deterministic" insight
     // of §IV-C.2 (the paper's compiler convention guarantees this; our
     // assembler-level applications follow it and the rewriter enforces it).
-    const bool writes_lr =
-        ((isa::format_of(instr->op) == isa::Format::Mov16 ||
-          isa::format_of(instr->op) == isa::Format::AluReg ||
-          isa::format_of(instr->op) == isa::Format::AluImm) &&
-         !isa::is_compare(instr->op) && instr->rd == Reg::LR) ||
-        (isa::is_load(instr->op) && instr->rd == Reg::LR) ||
-        (instr->op == Op::POP && bit(instr->reg_list, 14));
-    if (writes_lr) {
+    if (isa::writes_lr(*instr)) {
       throw Error("rewrite: explicit LR write at " + hex32(addr) +
                   " violates the return-determinism convention");
     }

@@ -6,6 +6,7 @@
 
 #include "common/hex.hpp"
 #include "crypto/sha256.hpp"
+#include "isa/semantics.hpp"
 
 namespace raptrack::verify {
 
@@ -68,6 +69,9 @@ ReplayIndex::ReplayIndex(const Program& program, ReplayMode mode,
 
   const bool is_rap = mode == ReplayMode::Rap && rap != nullptr;
   const bool is_traces = mode == ReplayMode::Traces && traces != nullptr;
+  // RAP and TRACES leave BX LR unlogged and resolve it from the link
+  // register BL set (§IV-C.2), so their images may write LR nowhere else.
+  const bool resolves_lr = mode != ReplayMode::Naive;
   // Per-site and per-SVC maps keep the first record, matching the linear
   // first-match semantics of the manifests' own lookups.
   std::unordered_map<Address, const rewrite::SlotRecord*> slot_by_site;
@@ -104,6 +108,10 @@ ReplayIndex::ReplayIndex(const Program& program, ReplayMode mode,
     ReplayStep& step = steps_[i];
     step.instr = *decoded;
     step.kind = step_kind(step.instr);
+    if (resolves_lr && isa::writes_lr(step.instr)) {
+      throw Error("deployment: explicit LR write at " + hex32(pc) +
+                  " leaves BX LR undecidable");
+    }
     if (mode == ReplayMode::Naive ||
         (is_rap && pc >= rap->mtbar_base && pc <= rap->mtbar_limit)) {
       step.flags |= ReplayStep::kLogged;

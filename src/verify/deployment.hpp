@@ -87,6 +87,8 @@ struct ReplayStep {
 /// Precomputed lookup structures over one deployed image. Built once per
 /// Deployment in one linear pass; immutable after construction. All returned
 /// pointers reference the backing manifest, which must outlive the index.
+/// Throws Error for a RAP or TRACES image with an instruction that writes
+/// LR other than BL/BLX (isa::writes_lr): its BX LR would not be decidable.
 class ReplayIndex {
  public:
   ReplayIndex(const Program& program, ReplayMode mode,

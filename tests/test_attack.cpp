@@ -264,8 +264,9 @@ TEST(Attack, RopIsAlsoVisibleUnderNaiveMtb) {
 // assembles `pop {r4, pc}` and flips reg_list bit 15 to bit 14. Under RAP
 // and TRACES alike BX LR is not logged: the verifier resolves it from the
 // link register BL set, which such an epilogue silently replaces with a
-// value off the stack. The rewriters must refuse the image, and a
-// deployment handed the image directly must never Accept the attack.
+// value off the stack. The rewriters must refuse the image, and so must a
+// deployment handed the image directly, although the hijack runs on the
+// device.
 constexpr const char* kPopLrApp = R"asm(
 .equ UART_RX,   0x40000000
 .equ RES_OK,    0x20200000
@@ -317,20 +318,26 @@ void flip_pop_to_lr(Program& program, Address at, u32 from_bit) {
   ASSERT_EQ(program.instruction_at(at)->reg_list, (1u << 4) | kPopLr);
 }
 
-/// Attests `run` against a deployment built straight from the flipped
-/// image (no rewriter in the loop) on the attack input, and checks the
-/// attack really ran on the device.
+/// Runs `prove` on the attack input and checks the hijack really ran on
+/// the device.
 template <typename Prove>
-verify::VerificationResult attack_flipped_image(
-    std::shared_ptr<const verify::Deployment> deployment, Prove&& prove) {
-  verify::Verifier verifier(apps::demo_key());
-  verifier.expect(std::move(deployment));
-  const cfa::Challenge chal = verifier.fresh_challenge();
+void run_hijack(Prove&& prove) {
   sim::Machine machine;
   const auto periph = stimulus(machine, 200, {});  // >= 100: hijack
-  const auto run = prove(machine, chal);
+  prove(machine, cfa::Challenge{});
   EXPECT_EQ(machine.memory().raw_read32(0x2020'0000), 2u);  // evil ran
-  return verifier.verify(chal, run.reports);
+}
+
+/// Building the deployment must fail with an Error that names the LR write.
+template <typename Deploy>
+void expect_lr_write_refused(Deploy&& deploy) {
+  try {
+    deploy();
+    ADD_FAILURE() << "deployment accepted an image that writes LR";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("LR write"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Attack, PopIntoLrIsRefusedAndNeverAcceptedUnderRap) {
@@ -349,17 +356,15 @@ TEST(Attack, PopIntoLrIsRefusedAndNeverAcceptedUnderRap) {
       stand_in.program, stand_in.entry, stand_in.program.base(),
       stand_in.code_end);
   flip_pop_to_lr(rewritten.program, epilogue, 1u << 5);
-  const auto result = attack_flipped_image(
-      verify::Deployment::rap(rewritten.program, rewritten.manifest,
-                              stand_in.entry),
-      [&](sim::Machine& machine, const cfa::Challenge& chal) {
-        cfa::RapProver prover(rewritten.program, rewritten.manifest,
-                              stand_in.entry, apps::demo_key());
-        return prover.attest(machine, chal);
-      });
-  EXPECT_FALSE(result.accepted()) << result.detail;
-  EXPECT_NE(result.detail.find("unknown link register"), std::string::npos)
-      << result.detail;
+  run_hijack([&](sim::Machine& machine, const cfa::Challenge& chal) {
+    cfa::RapProver prover(rewritten.program, rewritten.manifest,
+                          stand_in.entry, apps::demo_key());
+    return prover.attest(machine, chal);
+  });
+  expect_lr_write_refused([&] {
+    verify::Deployment::rap(rewritten.program, rewritten.manifest,
+                            stand_in.entry);
+  });
 }
 
 TEST(Attack, PopIntoLrIsRefusedAndNeverAcceptedUnderTraces) {
@@ -375,17 +380,92 @@ TEST(Attack, PopIntoLrIsRefusedAndNeverAcceptedUnderTraces) {
       stand_in.program, stand_in.entry, stand_in.program.base(),
       stand_in.code_end);
   flip_pop_to_lr(rewritten.program, epilogue, 1u << 5);
-  const auto result = attack_flipped_image(
-      verify::Deployment::traces(rewritten.program, rewritten.manifest,
-                                 stand_in.entry),
-      [&](sim::Machine& machine, const cfa::Challenge& chal) {
-        cfa::TracesProver prover(rewritten.program, rewritten.manifest,
-                                 stand_in.entry, apps::demo_key());
-        return prover.attest(machine, chal);
-      });
-  EXPECT_FALSE(result.accepted()) << result.detail;
-  EXPECT_NE(result.detail.find("unknown link register"), std::string::npos)
-      << result.detail;
+  run_hijack([&](sim::Machine& machine, const cfa::Challenge& chal) {
+    cfa::TracesProver prover(rewritten.program, rewritten.manifest,
+                             stand_in.entry, apps::demo_key());
+    return prover.attest(machine, chal);
+  });
+  expect_lr_write_refused([&] {
+    verify::Deployment::traces(rewritten.program, rewritten.manifest,
+                               stand_in.entry);
+  });
+}
+
+// The other explicit LR writes: a move, a load and an ALU result. Each is
+// refused by the rewriter, and by a deployment whose image has it planted
+// at the site of an r5-writing stand-in.
+constexpr const char* kLrWriteApp = R"asm(
+_start:
+    movi r3, #0x40
+    bl helper
+    hlt
+
+helper:
+    push {r4, lr}
+site:
+    WRITE
+    pop {r4, pc}
+__code_end:
+)asm";
+
+constexpr const char* kLrWrites[] = {"mov lr, r3", "ldr lr, [sp, #0]",
+                                     "add lr, r3, #4"};
+
+Built lr_write_probe(std::string write) {
+  std::string src = kLrWriteApp;
+  src.replace(src.find("WRITE"), 5, write);
+  return build(src);
+}
+
+/// The probe with `write` retargeted from LR to r5.
+Built r5_stand_in(std::string write) {
+  write.replace(write.find("lr"), 2, "r5");
+  return lr_write_probe(write);
+}
+
+/// `program` with the LR write of `probe` planted at its site.
+Program plant_lr_write(Program program, const Built& probe) {
+  const Address site = *probe.program.symbol("site");
+  program.set_word(site, probe.program.word_at(site));
+  return program;
+}
+
+TEST(Attack, ExplicitLrWritesAreRefusedUnderRap) {
+  for (const char* write : kLrWrites) {
+    SCOPED_TRACE(write);
+    const Built probe = lr_write_probe(write);
+    EXPECT_THROW(rewrite::rewrite_for_rap_track(probe.program, probe.entry,
+                                                probe.program.base(),
+                                                probe.code_end),
+                 Error);
+    const Built stand_in = r5_stand_in(write);
+    const auto rewritten = rewrite::rewrite_for_rap_track(
+        stand_in.program, stand_in.entry, stand_in.program.base(),
+        stand_in.code_end);
+    expect_lr_write_refused([&] {
+      verify::Deployment::rap(plant_lr_write(rewritten.program, probe),
+                              rewritten.manifest, stand_in.entry);
+    });
+  }
+}
+
+TEST(Attack, ExplicitLrWritesAreRefusedUnderTraces) {
+  for (const char* write : kLrWrites) {
+    SCOPED_TRACE(write);
+    const Built probe = lr_write_probe(write);
+    EXPECT_THROW(instr::rewrite_for_traces(probe.program, probe.entry,
+                                           probe.program.base(),
+                                           probe.code_end),
+                 Error);
+    const Built stand_in = r5_stand_in(write);
+    const auto rewritten = instr::rewrite_for_traces(
+        stand_in.program, stand_in.entry, stand_in.program.base(),
+        stand_in.code_end);
+    expect_lr_write_refused([&] {
+      verify::Deployment::traces(plant_lr_write(rewritten.program, probe),
+                                 rewritten.manifest, stand_in.entry);
+    });
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "apps/runner.hpp"
+#include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "cpu/executor.hpp"
 #include "mem/bus.hpp"
@@ -201,6 +202,223 @@ TEST(BlockReplay, AddsReadsItsOperandBeforeWritingIt) {
   EXPECT_EQ(v.flag(Valuation::kC), true);
   EXPECT_EQ(v.flag(Valuation::kN), false);
   EXPECT_EQ(v.flag(Valuation::kV), false);
+}
+
+// -- exhaustive single-instruction property -----------------------------------
+//
+// Every data and memory opcode, with and without S, from entry valuations
+// where each operand register (and SP) and each flag is independently known
+// or unknown, over edge values: the valuation after apply_data() must be
+// sound against the core, and exact when every input was known.
+
+constexpr u32 kEdges[] = {0, 1, 0x7fff'ffff, 0x8000'0000, 0xffff'ffff};
+constexpr u32 kShiftAmounts[] = {31, 32, 255};  // 0 and 1 are edges already
+constexpr i32 kImms[] = {0, 1, -1, 2047, -2048, 31, 32, 255};
+constexpr i32 kImm16s[] = {0, 1, 0x7fff, 0x8000, 0xffff};
+constexpr Address kSp = kStackTop - 0x100;
+
+// Operand registers of every enumerated instruction: rd, rn, rm.
+constexpr Reg kRd = Reg::R0, kRn = Reg::R1, kRm = Reg::R2;
+
+/// One enumerated case: the instruction and its operand values.
+struct TransferCase {
+  isa::Instruction in;
+  u32 rd = 0, rn = 0, rm = 0;
+};
+
+std::vector<TransferCase> enumerate_transfer_cases() {
+  std::vector<TransferCase> out;
+  const auto add = [&](isa::Instruction in, u32 rd, u32 rn, u32 rm) {
+    in.rd = kRd;
+    in.rn = kRn;
+    in.rm = kRm;
+    // The transfer sees exactly what the core decodes.
+    out.push_back({isa::decode(isa::encode(in)).value(), rd, rn, rm});
+  };
+  const Op alu_reg[] = {Op::MOV, Op::MVN, Op::ADD, Op::SUB, Op::RSB,
+                        Op::MUL, Op::UDIV, Op::SDIV, Op::AND, Op::ORR,
+                        Op::EOR, Op::LSL, Op::LSR, Op::ASR, Op::CMP,
+                        Op::CMN, Op::TST};
+  const Op alu_imm[] = {Op::ADDI, Op::SUBI, Op::RSBI, Op::ANDI,
+                        Op::ORRI, Op::EORI, Op::LSLI, Op::LSRI,
+                        Op::ASRI, Op::CMPI, Op::TSTI};
+  for (const bool s : {false, true}) {
+    for (const Op op : alu_reg) {
+      for (const u32 a : kEdges) {
+        for (const u32 b : kEdges) add({.op = op, .set_flags = s}, 0, a, b);
+        for (const u32 b : kShiftAmounts) {
+          add({.op = op, .set_flags = s}, 0, a, b);
+        }
+      }
+    }
+    for (const Op op : alu_imm) {
+      for (const u32 a : kEdges) {
+        for (const i32 imm : kImms) {
+          add({.op = op, .set_flags = s, .imm = imm}, 0, a, 0);
+        }
+      }
+    }
+  }
+  for (const i32 imm : kImm16s) {
+    add({.op = Op::MOVI, .imm = imm}, 0, 0, 0);
+    for (const u32 old : kEdges) add({.op = Op::MOVT, .imm = imm}, old, 0, 0);
+  }
+  for (const Op op : {Op::LDR, Op::LDRH, Op::LDRB, Op::STR, Op::STRH,
+                      Op::STRB}) {
+    for (const i32 imm : {0, 4, -4}) {
+      for (const u32 value : kEdges) {
+        add({.op = op, .imm = imm}, value, kScratch, 0);
+      }
+    }
+  }
+  for (const Op op : {Op::LDRR, Op::STRR}) {
+    for (const u8 shift : {0, 2}) {
+      for (const u32 index : {0u, 4u, 8u}) {  // aligned either way
+        for (const u32 value : kEdges) {
+          add({.op = op, .shift = shift}, value, kScratch, index);
+        }
+      }
+    }
+  }
+  const u16 lists[] = {1u << 0, 0x0007, (1u << 4) | (1u << 14), 1u << 13,
+                       0x5fff, (1u << 0) | (1u << 15)};
+  for (const Op op : {Op::PUSH, Op::POP}) {
+    for (const u16 list : lists) add({.op = op, .reg_list = list}, 0, 0, 0);
+  }
+  return out;
+}
+
+/// Register r's entry value in every case: operands from the case, SP at
+/// kSp, every other register a distinct marker.
+u32 entry_value(const TransferCase& c, unsigned r) {
+  switch (static_cast<Reg>(r)) {
+    case kRd: return c.rd;
+    case kRn: return c.rn;
+    case kRm: return c.rm;
+    case Reg::SP: return kSp;
+    default: return 0x1000u + r;
+  }
+}
+
+/// Registers a fully known entry cannot know afterwards: those the core
+/// loads from memory (SP popped is recomputed from the old SP).
+u16 loaded_registers(const isa::Instruction& in) {
+  if (is_load(in)) return static_cast<u16>(1u << isa::index(in.rd));
+  if (in.op == Op::POP) return in.reg_list & 0x5fff;
+  return 0;
+}
+
+/// The first way `after` is unsound against `core`, or inexact given a
+/// fully known `before`; empty when there is none.
+std::string transfer_mismatch(const Valuation& before, const Valuation& after,
+                              const cpu::CpuState& core,
+                              const isa::Instruction& in) {
+  for (unsigned i = 0; i < 15; ++i) {
+    const Reg r = static_cast<Reg>(i);
+    if (after.is_known(r) && after.regs[i] != core.reg(r)) {
+      return "r" + std::to_string(i) + " known " + hex32(after.regs[i]) +
+             ", core " + hex32(core.reg(r));
+    }
+  }
+  const bool core_flags[] = {core.flags.n, core.flags.z, core.flags.c,
+                             core.flags.v};
+  for (unsigned f = 0; f < 4; ++f) {
+    const auto known = after.flag(static_cast<u8>(1u << f));
+    if (known && *known != core_flags[f]) {
+      return "flag " + std::string(1, "NZCV"[f]) + " known wrong";
+    }
+  }
+  if (before.known == 0x7fff && (before.flags >> 4) == 0xf) {
+    const u16 expect_known = static_cast<u16>(0x7fff & ~loaded_registers(in));
+    if (after.known != expect_known) {
+      return "all inputs known, known mask " + hex32(after.known) +
+             " instead of " + hex32(expect_known);
+    }
+    if ((after.flags >> 4) != 0xf) return "all inputs known, flags lost";
+  }
+  return {};
+}
+
+TEST(BlockReplay, TransferIsSoundAndExactOnEveryDataOpAndEdgeValue) {
+  mem::MemoryMap map = mem::MemoryMap::make_default();
+  mem::Bus bus(map);
+  cpu::Executor cpu(bus);
+  // A popped PC must be a valid branch target: the stack holds code
+  // addresses, scratch RAM a mix of edge values.
+  std::vector<u8> stack, scratch;
+  for (u32 k = 0; k < 16; ++k) {
+    for (int b = 0; b < 4; ++b) {
+      stack.push_back(static_cast<u8>(kCodeBase >> (8 * b)));
+      scratch.push_back(static_cast<u8>(kEdges[k % 5] >> (8 * b)));
+    }
+  }
+  map.load(kSp, stack);
+  map.load(kScratch - 16, scratch);
+
+  const Reg inputs[] = {kRd, kRn, kRm, Reg::SP};
+  u64 checked = 0;
+  for (const TransferCase& c : enumerate_transfer_cases()) {
+    const u32 word = isa::encode(c.in);
+    map.load(kCodeBase, std::vector<u8>{static_cast<u8>(word),
+                                        static_cast<u8>(word >> 8),
+                                        static_cast<u8>(word >> 16),
+                                        static_cast<u8>(word >> 24)});
+    const bool stack_op = c.in.op == Op::PUSH || c.in.op == Op::POP;
+    for (u32 unknown = 0; unknown < (stack_op ? 16u : 8u); ++unknown) {
+      for (u32 known_flags = 0; known_flags < 16; ++known_flags) {
+        for (const u8 flag_values : {0x5, 0xa}) {
+          cpu.reset(kCodeBase, kSp);
+          cpu::CpuState& state = cpu.state();
+          Valuation before;
+          for (unsigned i = 0; i < 15; ++i) {
+            state.set_reg(static_cast<Reg>(i), entry_value(c, i));
+            before.write(static_cast<Reg>(i), entry_value(c, i));
+          }
+          for (unsigned k = 0; k < 4; ++k) {
+            if ((unknown >> k) & 1) before.forget(inputs[k]);
+          }
+          state.flags = {.n = (flag_values & Valuation::kN) != 0,
+                         .z = (flag_values & Valuation::kZ) != 0,
+                         .c = (flag_values & Valuation::kC) != 0,
+                         .v = (flag_values & Valuation::kV) != 0};
+          before.flags =
+              static_cast<u8>((known_flags << Valuation::kKnownShift) |
+                              (flag_values & known_flags));
+          Valuation after = before;
+          apply_data(after, c.in, kCodeBase);
+          ASSERT_FALSE(cpu.step().has_value()) << isa::to_string(c.in);
+          const std::string mismatch =
+              transfer_mismatch(before, after, state, c.in);
+          ASSERT_TRUE(mismatch.empty())
+              << "`" << isa::to_string(c.in) << "` rd=" << hex32(c.rd)
+              << " rn=" << hex32(c.rn) << " rm=" << hex32(c.rm)
+              << " unknown regs " << unknown << " known flags "
+              << known_flags << " flag values " << int{flag_values} << ": "
+              << mismatch;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 500'000u);
+}
+
+TEST(BlockReplay, FlagSettingLogicalOpsKeepCarryAndOverflow) {
+  // ANDS/ORRS/EORS/LSLS/LSRS/ASRS/TST set N and Z only, on the core and in
+  // the valuation: known C and V survive them even when the result does not.
+  for (const Op op : {Op::AND, Op::ORR, Op::EOR, Op::LSL, Op::LSR, Op::ASR,
+                      Op::TST, Op::ANDI, Op::TSTI}) {
+    Valuation v;
+    v.flags = static_cast<u8>(
+        ((Valuation::kC | Valuation::kV) << Valuation::kKnownShift) |
+        Valuation::kC);
+    apply_data(v, {.op = op, .rd = kRd, .rn = kRn, .rm = kRm,
+                   .set_flags = true, .imm = 3},
+               kCodeBase);
+    EXPECT_EQ(v.flag(Valuation::kC), true) << isa::to_string({.op = op});
+    EXPECT_EQ(v.flag(Valuation::kV), false) << isa::to_string({.op = op});
+    EXPECT_EQ(v.flag(Valuation::kN), std::nullopt);
+  }
 }
 
 // -- step budget through straight-line runs -----------------------------------

@@ -448,6 +448,96 @@ TEST(Superblock, SinklessFuzzedProgramsMatchOracleAndActuallyFuse) {
   EXPECT_GT(total_fused, 1'000u);
 }
 
+/// The fused window against execute(): every fusible_in_superblock opcode,
+/// with and without S, over edge operand values, with rd a plain register,
+/// rn itself (so the second copy reads the first's result) or PC (a dead
+/// write inside the window), and rn = PC read as pc + 4. Each program is
+/// `op; op; hlt`: the first two retire as one fused window on the fast
+/// path and per instruction on the oracle.
+TEST(Superblock, FusedWindowMatchesExecuteOnEveryFusibleOp) {
+  const u32 edges[] = {0,  1,  0x7fff'ffff, 0x8000'0000, 0xffff'ffff,
+                       31, 32, 255};
+  const i32 imms[] = {0, 1, -1, 2047, -2048, 31, 32, 255};
+  const i32 imm16s[] = {0, 1, 0x7fff, 0x8000, 0xffff};
+  const Address base = mem::MapLayout::kNsFlashBase;
+  const Address stack_top = mem::MapLayout::kNsRamBase + 0x8000;
+
+  mem::MemoryMap oracle_map = mem::MemoryMap::make_default();
+  mem::Bus oracle_bus{oracle_map};
+  cpu::Executor oracle{oracle_bus};
+  mem::MemoryMap fast_map = mem::MemoryMap::make_default();
+  mem::Bus fast_bus{fast_map};
+  cpu::Executor fast{fast_bus};
+
+  u64 windows = 0;
+  const auto check = [&](const isa::Instruction& in, u32 rn, u32 rm,
+                         bool flags) {
+    const u32 word = isa::encode(in);
+    const u32 hlt = isa::encode(isa::Instruction{.op = Op::HLT});
+    std::vector<u8> bytes;
+    for (const u32 w : {word, word, hlt}) {
+      for (int b = 0; b < 4; ++b) {
+        bytes.push_back(static_cast<u8>(w >> (8 * b)));
+      }
+    }
+    oracle_map.load(base, bytes);
+    fast_map.load(base, bytes);
+    const isa::DecodedImage image(base, bytes);
+    fast.attach_decoded_image(&image);
+    for (cpu::Executor* core : {&oracle, &fast}) {
+      core->reset(base, stack_top);
+      for (unsigned i = 0; i < 13; ++i) {
+        core->state().set_reg(static_cast<Reg>(i), 0x1000u + i);
+      }
+      core->state().set_reg(Reg::R1, rn);
+      core->state().set_reg(Reg::R2, rm);
+      core->state().flags = {flags, !flags, flags, !flags};
+    }
+    ASSERT_EQ(oracle.run(10), HaltReason::Halted);
+    ASSERT_EQ(fast.run_fast(10), HaltReason::Halted);
+    fast.detach_decoded_image();
+    ASSERT_EQ(fast.fused_dispatches(), 2u) << isa::to_string(in);
+    ASSERT_TRUE(states_equal(oracle, fast))
+        << "`" << isa::to_string(in) << "` rn=" << hex32(rn)
+        << " rm=" << hex32(rm);
+    ++windows;
+  };
+
+  for (unsigned byte = 0; byte < 256; ++byte) {
+    const auto info = isa::op_info(static_cast<u8>(byte));
+    if (!info || !isa::fusible_in_superblock({.op = info->op})) continue;
+    const Op op = info->op;
+    const isa::Format format = isa::format_of(op);
+    for (const Reg rd : {Reg::R0, Reg::R1, Reg::PC}) {
+      for (const Reg rn : {Reg::R1, Reg::PC}) {
+        for (const bool s : {false, true}) {
+          for (const bool flags : {false, true}) {
+            isa::Instruction in{.op = op, .rd = rd, .rn = rn, .rm = Reg::R2,
+                                .set_flags = s && format != isa::Format::Mov16};
+            if (format == isa::Format::Mov16) {
+              for (const i32 imm : imm16s) {
+                in.imm = imm;
+                for (const u32 old : edges) check(in, old, 0, flags);
+              }
+            } else if (format == isa::Format::AluImm) {
+              for (const i32 imm : imms) {
+                in.imm = imm;
+                for (const u32 a : edges) check(in, a, 0, flags);
+              }
+            } else {
+              for (const u32 a : edges) {
+                for (const u32 b : edges) check(in, a, b, flags);
+              }
+            }
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(windows, 20'000u);
+}
+
 /// Fuzzed self-patching program: a 3-instruction fused header materialises a
 /// patch word, a per-slot STR plants it at a random slot inside the long
 /// fused ALU run that follows, and execution then enters the truncated run
